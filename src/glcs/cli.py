@@ -24,7 +24,7 @@ from .formula import (
     chordal_chromatic,
     chromatic_polynomial,
     graphic_exponents,
-    poincare_polynomial,
+    poincare_from_chromatic,
 )
 from .graphs import (
     Graph,
@@ -276,9 +276,9 @@ def cmd_chromatic(cfg: RunConfig):
     kappa = clique_vector(g)
     chi = chromatic_polynomial(g)
     chordal, _ = is_chordal(g)
-    poincare = poincare_polynomial(g)
+    poincare = poincare_from_chromatic(chi, g.n_vertices)
     checks = []
-    product_coeffs = None
+    product = product_coeffs = None
     if chordal:
         product = chordal_chromatic(kappa)
         product_coeffs = _ints(product.coeffs)
@@ -302,7 +302,7 @@ def cmd_chromatic(cfg: RunConfig):
         f"chordal: {'yes' if chordal else 'no'}",
     ]
     if chordal:
-        lines.append(f"chordal product form: {chordal_chromatic(kappa)}")
+        lines.append(f"chordal product form: {product}")
     lines.append(f"poincare polynomial: {poincare}")
     _render_checks(lines, checks)
     return payload, lines, EXIT_OK if all_ok else EXIT_MISMATCH

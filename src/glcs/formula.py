@@ -34,6 +34,7 @@ __all__ = [
     "glue_series",
     "series_via_decomposition",
     "poincare_polynomial",
+    "poincare_from_chromatic",
 ]
 
 
@@ -412,8 +413,11 @@ def poincare_polynomial(g: Graph) -> IntPolynomial:
     must have nonnegative coefficients; anything else means the two sides
     of the pipeline disagree and is raised as MismatchError.
     """
-    chi = chromatic_polynomial(g)
-    n = g.n_vertices
+    return poincare_from_chromatic(chromatic_polynomial(g), g.n_vertices)
+
+
+def poincare_from_chromatic(chi: IntPolynomial, n: int) -> IntPolynomial:
+    """poincare_polynomial of a graph on n vertices with chromatic polynomial chi."""
     betti = []
     for i in range(n + 1):
         b = (-1) ** i * chi.coefficient(n - i)

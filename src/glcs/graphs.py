@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ParseError
+from .errors import MismatchError, ParseError
 
 __all__ = [
     "Graph",
@@ -401,11 +401,16 @@ def split_at_vertex(g: Graph, v: int) -> tuple[Graph, Graph, Graph]:
         tuple(sorted(set(star) | set(seam.edges))),
         g.labels,
     )
-    assert is_triangle_complete(g1, seam)
-    assert is_triangle_complete(g2, seam)
-    assert is_triangle_complete(g, g1)
-    assert is_triangle_complete(g, g2)
-    assert g.n_vertices + seam.n_vertices == g1.n_vertices + g2.n_vertices
+    for big, small, name in (
+        (g1, seam, "seam in g1"),
+        (g2, seam, "seam in g2"),
+        (g, g1, "g1 in g"),
+        (g, g2, "g2 in g"),
+    ):
+        if not is_triangle_complete(big, small):
+            raise MismatchError(f"split at vertex {v}: {name} is not triangle-complete")
+    if g.n_vertices + seam.n_vertices != g1.n_vertices + g2.n_vertices:
+        raise MismatchError(f"split at vertex {v}: vertex counts do not add up")
     return g1, g2, seam
 
 

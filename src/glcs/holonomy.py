@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import FeasibilityError
+from .errors import FeasibilityError, MismatchError
 from .graphs import Graph, is_triangle_complete
 from .series import moebius
 
@@ -50,7 +50,10 @@ def witt_dimension(m: int, k: int) -> int:
     for d in range(1, k + 1):
         if k % d == 0:
             total += moebius(d) * m ** (k // d)
-    assert total % k == 0
+    if total % k:
+        raise MismatchError(
+            f"necklace sum {total} for m={m} is not divisible by k={k}"
+        )
     return total // k
 
 
@@ -144,7 +147,8 @@ def _assoc_of_lyndon(w: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     cached = _ASSOC_CACHE.get(w)
     if cached is None:
         cached = bracket_expansion(standard_bracketing(w))
-        assert cached.get(w) == 1, f"leading coefficient of {w} is not 1"
+        if cached.get(w) != 1:
+            raise MismatchError(f"leading coefficient of {w} is not 1")
         _ASSOC_CACHE[w] = cached
     return cached
 
@@ -210,7 +214,11 @@ def _bracket_with_generator(w: tuple[int, ...], i: int) -> dict[tuple[int, ...],
 # exact integer echelon forms
 
 class _Echelon:
-    """Incremental echelon basis over Z, rows keyed by their smallest index."""
+    """Incremental echelon basis over Z, rows keyed by their smallest index.
+
+    Stored rows are primitive with a positive leading coefficient and are
+    never mutated after insertion.
+    """
 
     __slots__ = ("pivots",)
 
@@ -228,29 +236,52 @@ class _Echelon:
         return dup
 
     def insert(self, row: dict[int, int]) -> bool:
-        """Reduce a row against the basis; add it if independent."""
-        row = {k: c for k, c in row.items() if c}
-        while row:
-            lead = min(row)
-            prow = self.pivots.get(lead)
+        """Reduce a row against the basis; add it if independent.
+
+        One working copy of the row is reduced in place.  Both the working
+        row and the stored rows hold no zeros, so an update that gives zero
+        always names a key already in the working row.
+        """
+        work = {k: c for k, c in row.items() if c}
+        pivots = self.pivots
+        while work:
+            lead = min(work)
+            prow = pivots.get(lead)
             if prow is None:
-                _strip_gcd(row, make_positive_at=lead)
-                self.pivots[lead] = row
+                a = work[lead]
+                if a == -1:
+                    for k in work:
+                        work[k] = -work[k]
+                elif a != 1:
+                    _strip_gcd(work, make_positive_at=lead)
+                # a compact copy: the deletions above leave the table sparse
+                pivots[lead] = dict(work)
                 return True
-            a = row[lead]
+            a = work[lead]
             b = prow[lead]
+            if b == 1:
+                # work -= a * prow with no scaling; a common factor left
+                # here is stripped when the row is stored
+                for k, c in prow.items():
+                    n = work.get(k, 0) - a * c
+                    if n:
+                        work[k] = n
+                    else:
+                        del work[k]
+                continue
             g = gcd(a, b)
             ma = b // g
             mb = a // g
-            new = {k: ma * c for k, c in row.items()}
+            if ma != 1:
+                for k in work:
+                    work[k] *= ma
             for k, c in prow.items():
-                n = new.get(k, 0) - mb * c
+                n = work.get(k, 0) - mb * c
                 if n:
-                    new[k] = n
-                elif k in new:
-                    del new[k]
-            _strip_gcd(new)
-            row = new
+                    work[k] = n
+                else:
+                    del work[k]
+            _strip_gcd(work)
         return False
 
 
@@ -263,7 +294,7 @@ def _strip_gcd(row: dict[int, int], make_positive_at: int | None = None):
     if make_positive_at is not None and row.get(make_positive_at, 1) < 0:
         g = -g
     if g not in (0, 1):
-        for k in list(row):
+        for k in row:
             row[k] //= g
 
 
@@ -319,18 +350,43 @@ class GradedDims:
     quotient_dims: tuple[int, ...]
 
 
-class _IdealState:
-    """Per-presentation cache: one echelon per computed degree."""
-
-    __slots__ = ("echelons", "ranks", "words")
-
-    def __init__(self):
-        self.echelons: dict[int, _Echelon] = {}
-        self.ranks: dict[int, dict[tuple[int, ...], int]] = {}
-        self.words: dict[int, tuple[tuple[int, ...], ...]] = {}
+# Echelons are kept for the few most recently used presentations only:
+# enough for one `glcs verify`, which goes back to g between the seam and
+# the two pieces of each Mayer-Vietoris pivot.  The word tables are shared
+# by all presentations and stay.
+_STATE_CACHE_SIZE = 4
+_STATE_CACHE: dict[tuple[int, tuple], dict[int, _Echelon]] = {}
 
 
-_STATE_CACHE: dict[tuple[int, tuple], _IdealState] = {}
+def _ideal_state(p: HolonomyPresentation) -> dict[int, _Echelon]:
+    """The cached degree -> echelon map of a presentation, now most recent."""
+    key = (p.num_generators, p.relators)
+    state = _STATE_CACHE.pop(key, None)
+    if state is None:
+        state = {}
+        while len(_STATE_CACHE) >= _STATE_CACHE_SIZE:
+            del _STATE_CACHE[next(iter(_STATE_CACHE))]
+    _STATE_CACHE[key] = state
+    return state
+
+
+_LYNDON_INDEX: dict[
+    tuple[int, int], tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]
+] = {}
+
+
+def _lyndon_index(
+    m: int, k: int
+) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """Lyndon words of length k over m letters, and word -> position.
+
+    Shared by every presentation with m generators.
+    """
+    entry = _LYNDON_INDEX.get((m, k))
+    if entry is None:
+        words = lyndon_basis(m, k)
+        entry = _LYNDON_INDEX[(m, k)] = (words, {w: i for i, w in enumerate(words)})
+    return entry
 
 
 def _resolve_caps(max_dim: int | None, max_entries: int | None) -> tuple[int, int]:
@@ -356,16 +412,24 @@ def graded_dims(
     recursion is exhaustive).  Work beyond the configured caps (free Lie
     dimension above max_dim, or estimated matrix entries above max_entries;
     GLCS_MAX_DIM overrides the former) raises FeasibilityError instead of
-    grinding.  Results per presentation are cached and extended on demand.
+    grinding.  The echelons of the most recently used presentations are
+    cached and extended on demand.
     """
+    return _graded_dims(_ideal_state(p), p, up_to, max_dim, max_entries)
+
+
+def _graded_dims(
+    state: dict[int, _Echelon],
+    p: HolonomyPresentation,
+    up_to: int,
+    max_dim: int | None,
+    max_entries: int | None,
+) -> GradedDims:
+    """graded_dims, extending a given degree -> echelon map of p."""
     if up_to < 1:
         raise ValueError("up_to must be >= 1")
     max_dim, max_entries = _resolve_caps(max_dim, max_entries)
     m = p.num_generators
-    key = (m, p.relators)
-    state = _STATE_CACHE.get(key)
-    if state is None:
-        state = _STATE_CACHE[key] = _IdealState()
     free = [witt_dimension(m, k) for k in range(1, up_to + 1)]
     for k in range(2, up_to + 1):
         # checked even when the degree is already cached, so the outcome
@@ -378,24 +442,23 @@ def graded_dims(
                 dimension=wd,
             )
         if k >= 3:
-            est = len(state.echelons[k - 1].pivots) * m * wd
+            est = len(state[k - 1].pivots) * m * wd
             if est > max_entries:
                 raise FeasibilityError(
                     f"estimated {est} matrix entries at degree {k} exceed the "
                     f"cap {max_entries}; lower the degree",
                     entries=est,
                 )
-        if k in state.echelons:
+        if k in state:
             continue
         ech = _Echelon()
+        ranks = _lyndon_index(m, k)[1]
         if k == 2:
-            ranks = _rank_map(state, m, 2)
             for rel in p.relators:
                 ech.insert({ranks[word]: c for word, c in rel})
         else:
-            prev = state.echelons[k - 1]
-            prev_words = state.words[k - 1]
-            ranks = _rank_map(state, m, k)
+            prev = state[k - 1]
+            prev_words = _lyndon_index(m, k - 1)[0]
             candidates = []
             for lead in sorted(prev.pivots):
                 row = prev.pivots[lead]
@@ -414,20 +477,14 @@ def graded_dims(
             candidates.sort(key=lambda t: t[0])
             for _, cand in candidates:
                 ech.insert(cand)
-        state.echelons[k] = ech
-    ideal = [0] + [state.echelons[k].rank for k in range(2, up_to + 1)]
+        state[k] = ech
+    ideal = [0] + [state[k].rank for k in range(2, up_to + 1)]
     quotient = [f - i for f, i in zip(free, ideal)]
-    assert all(q >= 0 for q in quotient)
+    if any(q < 0 for q in quotient):
+        raise MismatchError(
+            f"ideal dimensions {ideal} exceed the free Lie dimensions {free}"
+        )
     return GradedDims(tuple(free), tuple(ideal), tuple(quotient))
-
-
-def _rank_map(state: _IdealState, m: int, k: int) -> dict[tuple[int, ...], int]:
-    ranks = state.ranks.get(k)
-    if ranks is None:
-        words = lyndon_basis(m, k)
-        state.words[k] = words
-        ranks = state.ranks[k] = {w: i for i, w in enumerate(words)}
-    return ranks
 
 
 def phi_bruteforce(
@@ -543,13 +600,15 @@ def verify_kernel_generation(
         i for i, e in enumerate(g.edges, start=1) if e not in sub_edges
     )
     max_dim, max_entries = _resolve_caps(max_dim, max_entries)
-    phi_g = phi_bruteforce(g, up_to, max_dim=max_dim, max_entries=max_entries)
+    # g's echelons are held here: computing sub may evict them from the cache
+    p = presentation(g)
+    state = _ideal_state(p)
+    phi_g = _graded_dims(state, p, up_to, max_dim, max_entries).quotient_dims
     phi_sub = phi_bruteforce(sub, up_to, max_dim=max_dim, max_entries=max_entries)
-    state = _STATE_CACHE[(g.n_edges, presentation(g).relators)]
     rows = []
     for k in range(1, up_to + 1):
-        ranks = _rank_map(state, g.n_edges, k)
-        ech = state.echelons[k].copy() if k >= 2 else _Echelon()
+        ranks = _lyndon_index(g.n_edges, k)[1]
+        ech = state[k].copy() if k >= 2 else _Echelon()
         added = 0
         for w in _lyndon_words_over(outside, k):
             if ech.insert({ranks[w]: 1}):

@@ -346,6 +346,27 @@ def test_chromatic_tree(tmp_path, capsys):
     assert all(c["pass"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize("edges", ["1 2\n2 3\n1 3\n", "1 2\n2 3\n3 4\n4 1\n"])
+def test_chromatic_computes_chi_once(edges, tmp_path, capsys, monkeypatch):
+    from glcs import formula
+
+    calls = []
+    original = formula.chromatic_polynomial
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    # formula's own binding too, which poincare_polynomial would use
+    monkeypatch.setattr(formula, "chromatic_polynomial", counting)
+    monkeypatch.setattr(cli, "chromatic_polynomial", counting)
+    path = tmp_path / "g.edges"
+    path.write_text(edges)
+    code, _, _ = run_cli(["chromatic", "--input", str(path)], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_chromatic_mismatch_exit_5(k3_file, capsys, monkeypatch):
     from glcs import IntPolynomial
 

@@ -1,9 +1,17 @@
 """Brute-force holonomy ranks: Lyndon machinery, echelons, cross-checks."""
 
+import copy
+import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import glcs
 from glcs import (
     FeasibilityError,
     complete_graph,
@@ -20,6 +28,7 @@ from glcs import (
     verify_mayer_vietoris,
     witt_dimension,
 )
+from glcs import holonomy
 from glcs.holonomy import (
     _Echelon,
     bracket_expansion,
@@ -156,6 +165,87 @@ def test_echelon_copy_isolation():
     assert dup.insert({1: 1})
     assert ech.rank == 1
     assert dup.rank == 2
+
+
+def _fraction_ranks(rows, ncols):
+    """Rank after each row, by Gaussian elimination over the rationals."""
+    basis = {}  # leading column -> row scaled to lead 1
+    ranks = []
+    for row in rows:
+        vec = [Fraction(row.get(j, 0)) for j in range(ncols)]
+        for j in range(ncols):
+            if vec[j] and j in basis:
+                f = vec[j]
+                vec = [x - f * y for x, y in zip(vec, basis[j])]
+        lead = next((j for j in range(ncols) if vec[j]), None)
+        if lead is not None:
+            basis[lead] = [x / vec[lead] for x in vec]
+        ranks.append(len(basis))
+    return ranks
+
+
+def _random_rows(rng, ncols, nrows):
+    """Sparse integer rows spanning a random subspace, with repeats and zeros.
+
+    Rows are small combinations of a few basis rows, so dependencies need
+    exact cancellation; leading coefficients are often non-units and negative.
+    """
+    basis = []
+    for _ in range(rng.randint(2, ncols - 2)):
+        cols = rng.sample(range(ncols), rng.randint(1, 4))
+        basis.append({j: rng.choice([-6, -3, -2, -1, 1, 2, 4, 5]) for j in cols})
+    rows = []
+    for _ in range(nrows):
+        pick = rng.random()
+        if pick < 0.1:
+            rows.append(rng.choice([{}, {rng.randrange(ncols): 0}]))
+        elif pick < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            row = {}
+            for b in rng.sample(basis, rng.randint(1, min(3, len(basis)))):
+                f = rng.choice([-3, -2, -1, 1, 2, 3])
+                for j, c in b.items():
+                    row[j] = row.get(j, 0) + f * c
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_echelon_rank_matches_fractions(seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(6, 16)
+    rows = _random_rows(rng, ncols, 50)
+    ech = _Echelon()
+    previous = 0
+    for row, expected in zip(rows, _fraction_ranks(rows, ncols)):
+        before = dict(row)
+        assert ech.insert(row) == (expected > previous)
+        assert row == before  # the caller's row is left alone
+        assert ech.rank == expected
+        previous = expected
+    for lead, prow in ech.pivots.items():
+        assert min(prow) == lead and prow[lead] > 0
+        assert all(prow.values())
+        assert math.gcd(*prow.values()) == 1
+
+
+def test_echelon_stored_rows_never_change():
+    rng = random.Random(11)
+    rows = _random_rows(rng, 14, 60)
+    ech = _Echelon()
+    for row in rows[:30]:
+        ech.insert(row)
+    snapshot = copy.deepcopy(ech.pivots)
+    for row in rows[30:45]:
+        ech.insert(row)
+    assert {k: ech.pivots[k] for k in snapshot} == snapshot
+    snapshot = copy.deepcopy(ech.pivots)
+    dup = ech.copy()
+    for row in rows[45:] + [{j: 1} for j in range(14)]:
+        dup.insert(row)
+    assert dup.rank == 14
+    assert ech.pivots == snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +404,77 @@ def test_kernel_generation_requires_triangle_complete():
     bad = graph_from_edges([(0, 1), (0, 2)], vertices=[0, 1, 2])
     with pytest.raises(ValueError):
         verify_kernel_generation(g, bad, 2)
+
+
+def test_kernel_generation_holds_its_own_state(monkeypatch):
+    # computing sub must not cost g's echelons, even with room for one state
+    g = parse_graph("a b\nb c\na c\nb d\nc d\n")
+    sub = g.induced([0, 1, 2])
+    expected = verify_kernel_generation(g, sub, 3)
+    monkeypatch.setattr(holonomy, "_STATE_CACHE_SIZE", 1)
+    holonomy._STATE_CACHE.clear()
+    assert verify_kernel_generation(g, sub, 3) == expected
+
+
+# ---------------------------------------------------------------------------
+# bounded state cache
+
+def test_state_cache_is_bounded():
+    bound = holonomy._STATE_CACHE_SIZE
+    holonomy._STATE_CACHE.clear()
+    for n in range(2, bound + 5):
+        path = graph_from_edges([(i, i + 1) for i in range(n)])
+        assert phi_bruteforce(path, 3) == (n, 0, 0)
+        assert len(holonomy._STATE_CACHE) <= bound
+    assert len(holonomy._STATE_CACHE) == bound
+    # evicted presentations are recomputed from scratch, exactly
+    assert phi_bruteforce(complete_graph(4), 4) == (6, 4, 10, 21)
+    assert phi_bruteforce(graph_from_edges([(0, 1), (1, 2)]), 3) == (2, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# certificates are explicit checks, so they survive python -O
+
+_CERTIFICATE_CASES = {
+    "witt_dimension": (
+        "glcs.holonomy.moebius = lambda d: 1",
+        "glcs.witt_dimension(2, 3)",
+    ),
+    "lyndon_leading_coefficient": (
+        "glcs.holonomy.bracket_expansion = lambda tree: {}",
+        "glcs.phi_bruteforce(glcs.complete_graph(3), 3)",
+    ),
+    "nonnegative_quotient": (
+        "glcs.holonomy.witt_dimension = lambda m, k: 0",
+        "glcs.phi_bruteforce(glcs.complete_graph(3), 2)",
+    ),
+    "split_triangle_complete": (
+        "glcs.graphs.is_triangle_complete = lambda big, small: False",
+        "glcs.split_at_vertex(glcs.complete_graph(3), 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFICATE_CASES))
+def test_certificate_raises_under_optimize(case):
+    patch, call = _CERTIFICATE_CASES[case]
+    # the bare assert fails the run unless -O really strips asserts
+    script = (
+        "import sys, glcs\n"
+        "assert False, 'python -O did not strip asserts'\n"
+        f"{patch}\n"
+        "try:\n"
+        f"    {call}\n"
+        "except glcs.MismatchError as exc:\n"
+        "    print('MismatchError:', exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit('certificate did not fire')\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(glcs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("MismatchError:")
