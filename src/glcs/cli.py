@@ -20,11 +20,11 @@ from .errors import (
     ParseError,
 )
 from .formula import (
+    _poincare_from_chromatic,
     braid_series,
     chordal_chromatic,
     chromatic_polynomial,
     graphic_exponents,
-    poincare_from_chromatic,
 )
 from .graphs import (
     Graph,
@@ -276,7 +276,7 @@ def cmd_chromatic(cfg: RunConfig):
     kappa = clique_vector(g)
     chi = chromatic_polynomial(g)
     chordal, _ = is_chordal(g)
-    poincare = poincare_from_chromatic(chi, g.n_vertices)
+    poincare = _poincare_from_chromatic(chi, g.n_vertices)
     checks = []
     product = product_coeffs = None
     if chordal:

@@ -34,7 +34,6 @@ __all__ = [
     "glue_series",
     "series_via_decomposition",
     "poincare_polynomial",
-    "poincare_from_chromatic",
 ]
 
 
@@ -413,10 +412,10 @@ def poincare_polynomial(g: Graph) -> IntPolynomial:
     must have nonnegative coefficients; anything else means the two sides
     of the pipeline disagree and is raised as MismatchError.
     """
-    return poincare_from_chromatic(chromatic_polynomial(g), g.n_vertices)
+    return _poincare_from_chromatic(chromatic_polynomial(g), g.n_vertices)
 
 
-def poincare_from_chromatic(chi: IntPolynomial, n: int) -> IntPolynomial:
+def _poincare_from_chromatic(chi: IntPolynomial, n: int) -> IntPolynomial:
     """poincare_polynomial of a graph on n vertices with chromatic polynomial chi."""
     betti = []
     for i in range(n + 1):

@@ -259,16 +259,6 @@ class _Echelon:
                 return True
             a = work[lead]
             b = prow[lead]
-            if b == 1:
-                # work -= a * prow with no scaling; a common factor left
-                # here is stripped when the row is stored
-                for k, c in prow.items():
-                    n = work.get(k, 0) - a * c
-                    if n:
-                        work[k] = n
-                    else:
-                        del work[k]
-                continue
             g = gcd(a, b)
             ma = b // g
             mb = a // g
@@ -281,7 +271,10 @@ class _Echelon:
                     work[k] = n
                 else:
                     del work[k]
-            _strip_gcd(work)
+            if ma != 1:
+                # unscaled, work only lost a multiple of prow; a common
+                # factor left then is stripped when the row is stored
+                _strip_gcd(work)
         return False
 
 
@@ -415,20 +408,10 @@ def graded_dims(
     grinding.  The echelons of the most recently used presentations are
     cached and extended on demand.
     """
-    return _graded_dims(_ideal_state(p), p, up_to, max_dim, max_entries)
-
-
-def _graded_dims(
-    state: dict[int, _Echelon],
-    p: HolonomyPresentation,
-    up_to: int,
-    max_dim: int | None,
-    max_entries: int | None,
-) -> GradedDims:
-    """graded_dims, extending a given degree -> echelon map of p."""
     if up_to < 1:
         raise ValueError("up_to must be >= 1")
     max_dim, max_entries = _resolve_caps(max_dim, max_entries)
+    state = _ideal_state(p)
     m = p.num_generators
     free = [witt_dimension(m, k) for k in range(1, up_to + 1)]
     for k in range(2, up_to + 1):
@@ -600,10 +583,13 @@ def verify_kernel_generation(
         i for i, e in enumerate(g.edges, start=1) if e not in sub_edges
     )
     max_dim, max_entries = _resolve_caps(max_dim, max_entries)
-    # g's echelons are held here: computing sub may evict them from the cache
     p = presentation(g)
+    phi_g = graded_dims(
+        p, up_to, max_dim=max_dim, max_entries=max_entries
+    ).quotient_dims
+    # g's echelons are held here: computing sub may evict them from the cache.
+    # p is the most recent entry, so this lookup evicts nothing.
     state = _ideal_state(p)
-    phi_g = _graded_dims(state, p, up_to, max_dim, max_entries).quotient_dims
     phi_sub = phi_bruteforce(sub, up_to, max_dim=max_dim, max_entries=max_entries)
     rows = []
     for k in range(1, up_to + 1):
