@@ -20,15 +20,14 @@ from .errors import (
     ParseError,
 )
 from .formula import (
+    _fold,
     _poincare_from_chromatic,
-    braid_series,
     chordal_chromatic,
     chromatic_polynomial,
     graphic_exponents,
 )
 from .graphs import (
     Graph,
-    Leaf,
     clique_vector,
     decompose,
     is_chordal,
@@ -211,64 +210,75 @@ def cmd_classify(cfg: RunConfig):
     return payload, lines, EXIT_OK
 
 
-def _tree_report(tree, order: int, depth: int, lines: list[str], tag: str):
-    g = tree.graph
-    if isinstance(tree, Leaf):
-        u = braid_series(g.n_vertices, order)
+def _tree_lines(folded, depth: int, tag: str, lines: list[str]):
+    """Text of a folded tree: each node, its left chain, pieces and U."""
+    chain = []
+    while folded.left is not None:
+        g = folded.tree.graph
         lines.append(
-            "  " * depth + f"{tag}leaf[{tree.reason}] "
-            f"n={g.n_vertices} m={g.n_edges} "
-            "U: " + " ".join(_ints(u.coeffs))
+            "  " * depth + f"{tag}node pivot={g.label(folded.tree.pivot)} "
+            f"n={g.n_vertices} m={g.n_edges}"
         )
-        node = {
-            "kind": "leaf",
-            "reason": tree.reason,
-            "graph": _graph_json(g),
-            "U": _ints(u.coeffs),
-        }
-        return node, u
-    from .formula import glue_series
-
+        chain.append((folded, depth))
+        folded, depth, tag = folded.left, depth + 1, "left: "
+    g = folded.tree.graph
     lines.append(
-        "  " * depth + f"{tag}node pivot={g.label(tree.pivot)} "
-        f"n={g.n_vertices} m={g.n_edges}"
+        "  " * depth + f"{tag}leaf[{folded.tree.reason}] "
+        f"n={g.n_vertices} m={g.n_edges} "
+        "U: " + " ".join(_ints(folded.u.coeffs))
     )
-    left_node, lu = _tree_report(tree.left, order, depth + 1, lines, "left: ")
-    right_node, ru = _tree_report(tree.right, order, depth + 1, lines, "right: ")
-    seam_node, su = _tree_report(
-        decompose(tree.seam), order, depth + 1, lines, "seam: "
-    )
-    u = glue_series(lu, ru, su)
-    lines.append("  " * depth + "U: " + " ".join(_ints(u.coeffs)))
+    for node, depth in reversed(chain):
+        _tree_lines(node.right, depth + 1, "right: ", lines)
+        _tree_lines(node.seam, depth + 1, "seam: ", lines)
+        lines.append("  " * depth + "U: " + " ".join(_ints(node.u.coeffs)))
+
+
+def _tree_json(folded) -> dict:
+    """JSON of a folded tree: each node's graph, pieces and U."""
+    chain = []
+    while folded.left is not None:
+        chain.append(folded)
+        folded = folded.left
     node = {
-        "kind": "node",
-        "pivot": g.label(tree.pivot),
-        "graph": _graph_json(g),
-        "left": left_node,
-        "right": right_node,
-        "seam": seam_node,
-        "U": _ints(u.coeffs),
+        "kind": "leaf",
+        "reason": folded.tree.reason,
+        "graph": _graph_json(folded.tree.graph),
+        "U": _ints(folded.u.coeffs),
     }
-    return node, u
+    for folded in reversed(chain):
+        g = folded.tree.graph
+        node = {
+            "kind": "node",
+            "pivot": g.label(folded.tree.pivot),
+            "graph": _graph_json(g),
+            "left": node,
+            "right": _tree_json(folded.right),
+            "seam": _tree_json(folded.seam),
+            "U": _ints(folded.u.coeffs),
+        }
+    return node
 
 
 def cmd_decompose(cfg: RunConfig):
     g = _load_graph(cfg)
-    tree = decompose(g)
-    lines: list[str] = [f"graph: {g.n_vertices} vertices, {g.n_edges} edges"]
-    root, u_tree = _tree_report(tree, cfg.order, 0, lines, "")
+    folded = _fold(decompose(g), cfg.order)
     direct = expand_product(graphic_exponents(clique_vector(g)), cfg.order)
-    ok = u_tree == direct
+    ok = folded.u == direct
     checks = [_check("glued-equals-direct", ok)]
-    payload = {
-        "tree": root,
-        "U": _ints(u_tree.coeffs),
-        "U_direct": _ints(direct.coeffs),
-        "checks": checks,
-    }
+    # the tree is rendered only in the format that is printed
+    if cfg.format == "json":
+        payload = {
+            "tree": _tree_json(folded),
+            "U": _ints(folded.u.coeffs),
+            "U_direct": _ints(direct.coeffs),
+            "checks": checks,
+        }
+        return payload, [], EXIT_OK if ok else EXIT_MISMATCH
+    lines = [f"graph: {g.n_vertices} vertices, {g.n_edges} edges"]
+    _tree_lines(folded, 0, "", lines)
     lines.append("U direct: " + " ".join(_ints(direct.coeffs)))
     _render_checks(lines, checks)
-    return payload, lines, EXIT_OK if ok else EXIT_MISMATCH
+    return {}, lines, EXIT_OK if ok else EXIT_MISMATCH
 
 
 def cmd_chromatic(cfg: RunConfig):

@@ -16,7 +16,7 @@ from .errors import MismatchError, NotDecomposableError
 from .graphs import (
     Graph,
     DecompositionTree,
-    Leaf,
+    Node,
     clique_vector,
     decompose,
 )
@@ -192,17 +192,12 @@ def rank2_flats(g: Graph) -> tuple[Flat2, ...]:
     return tuple(flats)
 
 
-def decomposable_series(
-    g: Graph, order: int, *, printed_form: bool = False
-) -> TruncatedSeries:
+def decomposable_series(g: Graph, order: int) -> TruncatedSeries:
     """Series for graphs without K_4 subgraphs, via the rank-2 flat product.
 
     U(t) = (1-t)^(b1) * prod over flats p with mu(p) >= 2 of
     (1 - mu(p) t) / (1-t)^(mu(p)).  The arrangement is decomposable exactly
-    when the graph has no K_4; NotDecomposableError otherwise.  printed_form
-    uses a denominator exponent of 1 per flat instead of mu(p); it disagrees
-    with the clique-vector route already on a single triangle and exists
-    only as a diagnostic.
+    when the graph has no K_4; NotDecomposableError otherwise.
     """
     kappa = clique_vector(g)
     if len(kappa) > 3 and kappa[3]:
@@ -212,7 +207,7 @@ def decomposable_series(
     for flat in rank2_flats(g):
         if flat.mu >= 2:
             exps[flat.mu] = exps.get(flat.mu, 0) + 1
-            exps[1] -= 1 if printed_form else flat.mu
+            exps[1] -= flat.mu
     top = max(exps) if exps else 1
     vec = [exps.get(j, 0) for j in range(1, top + 1)]
     return expand_product(vec, order)
@@ -389,6 +384,42 @@ def glue_series(
     return u1 * u2 * seam.reciprocal()
 
 
+@dataclass(frozen=True)
+class _Folded:
+    """A decomposition tree node with its series; children folded likewise.
+
+    left, right and seam are None at a leaf; seam folds the decomposition
+    of the node's seam graph.
+    """
+
+    tree: DecompositionTree
+    u: TruncatedSeries
+    left: "_Folded | None" = None
+    right: "_Folded | None" = None
+    seam: "_Folded | None" = None
+
+
+def _fold(tree: DecompositionTree, order: int) -> _Folded:
+    """Fold a decomposition tree into its series at every node.
+
+    Complete leaves use the direct braid product; internal nodes glue their
+    pieces, decomposing the seam.  The left chain is walked in a loop, the
+    right pieces and seams (a vertex's closed neighborhood at most) by
+    recursion.
+    """
+    chain = []
+    while isinstance(tree, Node):
+        chain.append(tree)
+        tree = tree.left
+    folded = _Folded(tree, braid_series(tree.graph.n_vertices, order))
+    for node in reversed(chain):
+        right = _fold(node.right, order)
+        seam = _fold(decompose(node.seam), order)
+        u = glue_series(folded.u, right.u, seam.u)
+        folded = _Folded(node, u, folded, right, seam)
+    return folded
+
+
 def series_via_decomposition(tree: DecompositionTree, order: int) -> TruncatedSeries:
     """Fold a decomposition tree into a series.
 
@@ -397,12 +428,7 @@ def series_via_decomposition(tree: DecompositionTree, order: int) -> TruncatedSe
     base cases this route never consults the clique-vector exponents, so it
     cross-checks them.
     """
-    if isinstance(tree, Leaf):
-        return braid_series(tree.graph.n_vertices, order)
-    left = series_via_decomposition(tree.left, order)
-    right = series_via_decomposition(tree.right, order)
-    seam = series_via_decomposition(decompose(tree.seam), order)
-    return glue_series(left, right, seam)
+    return _fold(tree, order).u
 
 
 def poincare_polynomial(g: Graph) -> IntPolynomial:

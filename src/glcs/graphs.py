@@ -7,6 +7,7 @@ operations keep the parent's ids, so labels stay valid across splits.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -255,17 +256,25 @@ def clique_vector(g: Graph) -> tuple[int, ...]:
 
 
 def _degeneracy_order(g: Graph) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex (ties: smallest id)."""
-    remaining = set(g.vertices)
+    """Repeatedly remove a minimum-degree vertex (ties: smallest id).
+
+    A lazy heap of (degree, id) entries.  Degrees only fall, so a vertex's
+    current entry surfaces before its older ones, which are skipped.
+    """
     deg = {v: g.degree(v) for v in g.vertices}
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
     order = []
-    while remaining:
-        v = min(remaining, key=lambda x: (deg[x], x))
+    while heap:
+        _, v = heapq.heappop(heap)
+        if v not in deg:
+            continue
+        del deg[v]
         order.append(v)
-        remaining.discard(v)
         for w in g.neighbors(v):
-            if w in remaining:
+            if w in deg:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return order
 
 
@@ -277,27 +286,77 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
 
     Returns (True, elimination_order) where the order is a perfect
     elimination order, or (False, cycle) with an induced cycle of length
-    >= 4 listed in cyclic order.  The candidate order comes from a
-    lexicographic BFS and is then verified, so the True answer never
-    depends on the search having been implemented correctly.
+    >= 4 listed in cyclic order: a shortest one, the first found in vertex
+    order.  The candidate order comes from a lexicographic BFS, and both
+    answers are verified before they are returned, so neither depends on
+    the searches having been implemented correctly.
     """
     elim = list(reversed(_lex_bfs(g)))
     if _verify_elimination_order(g, elim):
         return True, elim
-    return False, _chordless_cycle(g)
+    cycle = _chordless_cycle(g)
+    if not _is_induced_cycle(g, cycle):
+        raise MismatchError(f"chordless-cycle witness {cycle} is not an induced cycle")
+    return False, cycle
+
+
+class _Cell:
+    """One LexBFS class: unvisited vertices sharing a label, ids ascending.
+
+    Vertices that have left the class stay in `members` and are skipped
+    when they reach `head`; `size` counts the ones still in it.
+    """
+
+    __slots__ = ("members", "head", "size", "prev", "next")
+
+    def __init__(self, members: list[int], nxt: "_Cell | None" = None):
+        self.members = members
+        self.head = 0
+        self.size = len(members)
+        self.prev: _Cell | None = None
+        self.next = nxt
 
 
 def _lex_bfs(g: Graph) -> list[int]:
-    labels: dict[int, list[int]] = {v: [] for v in g.vertices}
-    unvisited = set(g.vertices)
+    """Lexicographic BFS order; among equal labels the smallest id goes first.
+
+    Partition refinement (Rose, Tarjan & Lueker 1976): the unvisited
+    vertices form classes of equal label, highest label first.  Visiting v
+    moves each unvisited neighbour into a new class just before its own.
+    """
+    first: _Cell | None = _Cell(list(g.vertices))
+    cell = dict.fromkeys(g.vertices, first)
     out = []
-    for step in range(g.n_vertices, 0, -1):
-        v = max(unvisited, key=lambda x: (labels[x], -x))
-        unvisited.discard(v)
+    while first is not None:
+        if first.size == 0:
+            first = first.next
+            if first is not None:
+                first.prev = None
+            continue
+        while cell.get(first.members[first.head]) is not first:
+            first.head += 1
+        v = first.members[first.head]
+        first.size -= 1
+        del cell[v]
         out.append(v)
-        for w in g.neighbors(v):
-            if w in unvisited:
-                labels[w].append(step)
+        split: dict[_Cell, _Cell] = {}
+        for w in sorted(g.neighbors(v)):
+            old = cell.get(w)
+            if old is None:
+                continue
+            new = split.get(old)
+            if new is None:
+                new = split[old] = _Cell([], old)
+                new.prev = old.prev
+                if old.prev is None:
+                    first = new
+                else:
+                    old.prev.next = new
+                old.prev = new
+            new.members.append(w)
+            new.size += 1
+            old.size -= 1
+            cell[w] = new
     return out
 
 
@@ -315,46 +374,61 @@ def _verify_elimination_order(g: Graph, elim: list[int]) -> bool:
 
 
 def _chordless_cycle(g: Graph) -> list[int]:
-    """Find an induced cycle of length >= 4 in a non-chordal graph.
+    """Find a shortest induced cycle of length >= 4 in a non-chordal graph.
 
-    For each vertex v and non-adjacent neighbors u, w, a shortest u-w path
-    avoiding the rest of N[v] closes to an induced cycle through v.
+    For each vertex v and non-adjacent neighbors u < w, a shortest u-w path
+    avoiding the rest of N[v] closes to an induced cycle through v.  One
+    BFS from u finds that path for every w at once: v's other neighbors
+    are discovered but never expanded.  Candidates are taken in the order
+    (v, u, w), ids ascending, and paths expand neighbors in ascending
+    order; a later candidate replaces the best only if strictly shorter,
+    so no BFS needs to go deeper than the best cycle so far.
     """
+    nbrs = {x: sorted(g.neighbors(x)) for x in g.vertices}
     best: list[int] | None = None
     for v in g.vertices:
-        nbrs = sorted(g.neighbors(v))
-        for u, w in itertools.combinations(nbrs, 2):
-            if g.has_edge(u, w):
-                continue
-            blocked = (g.neighbors(v) | {v}) - {u, w}
-            path = _shortest_path(g, u, w, blocked)
-            if path is not None:
-                cycle = [v] + path
-                if best is None or len(cycle) < len(best):
-                    best = cycle
+        around = g.neighbors(v)
+        for u in nbrs[v]:
+            # an endpoint w at depth d closes a cycle on d + 2 vertices
+            limit = len(best) - 3 if best else g.n_vertices
+            prev: dict[int, int] = {u: u}
+            frontier = [u]
+            ends: list[int] = []
+            depth = 0
+            while frontier and not ends and depth < limit:
+                depth += 1
+                nxt = []
+                for x in frontier:
+                    for y in nbrs[x]:
+                        if y == v or y in prev:
+                            continue
+                        prev[y] = x
+                        if y not in around:
+                            nxt.append(y)
+                        elif y > u and not g.has_edge(u, y):
+                            ends.append(y)
+                frontier = nxt
+            if ends:
+                path = [min(ends)]
+                while path[-1] != u:
+                    path.append(prev[path[-1]])
+                best = [v] + path[::-1]
+                if len(best) == 4:
+                    return best
     if best is None:
-        raise AssertionError("no chordless cycle in a non-chordal graph")
+        raise MismatchError("no chordless cycle in a non-chordal graph")
     return best
 
 
-def _shortest_path(g: Graph, src: int, dst: int, blocked) -> list[int] | None:
-    prev: dict[int, int | None] = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in sorted(g.neighbors(x)):
-                if y in blocked or y in prev:
-                    continue
-                prev[y] = x
-                if y == dst:
-                    path = [y]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return list(reversed(path))
-                nxt.append(y)
-        frontier = nxt
-    return None
+def _is_induced_cycle(g: Graph, cycle: list[int]) -> bool:
+    """Whether cycle lists, in cyclic order, an induced cycle of g on >= 4 vertices."""
+    n = len(cycle)
+    if n < 4 or len(set(cycle)) != n or not set(cycle) <= set(g.vertices):
+        return False
+    for i, j in itertools.combinations(range(n), 2):
+        if g.has_edge(cycle[i], cycle[j]) != (j - i in (1, n - 1)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +437,20 @@ def _shortest_path(g: Graph, src: int, dst: int, blocked) -> list[int] | None:
 def is_triangle_complete(g: Graph, k: Graph) -> bool:
     """Whether every triangle of g with two edges in k lies entirely in k.
 
-    k must be a subgraph of g (checked; ValueError otherwise).
+    k must be a subgraph of g (checked; ValueError otherwise).  Such a
+    triangle has its third edge (b, c) in g but not in k, with b and c
+    joined in k through a common neighbor, so only the edges of g outside
+    k are examined.
     """
     if not set(k.vertices) <= set(g.vertices):
         raise ValueError("k has vertices outside g")
     kedges = set(k.edges)
-    if not kedges <= set(g.edges):
+    gedges = set(g.edges)
+    if not kedges <= gedges:
         raise ValueError("k has edges outside g")
-    for a, b, c in g.triangles():
-        inside = ((a, b) in kedges) + ((a, c) in kedges) + ((b, c) in kedges)
-        if inside == 2:
+    kadj = k._adjacency
+    for b, c in gedges - kedges:
+        if b in kadj and c in kadj and not kadj[b].isdisjoint(kadj[c]):
             return False
     return True
 
@@ -433,24 +511,35 @@ DecompositionTree = Leaf | Node
 
 
 def decompose(g: Graph) -> DecompositionTree:
-    """Recursively split at a minimum-degree vertex until leaves are complete.
+    """Split at a minimum-degree vertex until every leaf is complete.
 
     Pivot choice: minimum degree, ties broken by smallest id.  In any
     non-complete graph such a vertex's closed neighborhood is proper, so
-    both split pieces are strictly smaller and recursion terminates.
+    both split pieces are strictly smaller and the splitting terminates.
+    The left chain (g minus pivot, again and again) is built in a loop, so
+    its length is not limited by the recursion limit; the right pieces are
+    decomposed recursively, to a depth of at most the degree plus one.
     """
-    if g.is_complete():
-        reason = "complete-graph" if g.n_vertices >= 2 else "single-component-base"
-        return Leaf(g, reason)
-    pivot = min(g.vertices, key=lambda v: (g.degree(v), v))
-    g1, g2, seam = split_at_vertex(g, pivot)
-    return Node(g, pivot, decompose(g1), decompose(g2), seam)
+    chain = []
+    while not g.is_complete():
+        pivot = min(g.vertices, key=lambda v: (g.degree(v), v))
+        g1, g2, seam = split_at_vertex(g, pivot)
+        chain.append((g, pivot, decompose(g2), seam))
+        g = g1
+    reason = "complete-graph" if g.n_vertices >= 2 else "single-component-base"
+    tree: DecompositionTree = Leaf(g, reason)
+    for graph, pivot, right, seam in reversed(chain):
+        tree = Node(graph, pivot, tree, right, seam)
+    return tree
 
 
 def tree_leaves(tree: DecompositionTree):
     """Yield the leaves of a decomposition tree, left to right."""
-    if isinstance(tree, Leaf):
-        yield tree
-    else:
-        yield from tree_leaves(tree.left)
-        yield from tree_leaves(tree.right)
+    stack = [tree]
+    while stack:
+        tree = stack.pop()
+        if isinstance(tree, Leaf):
+            yield tree
+        else:
+            stack.append(tree.right)
+            stack.append(tree.left)

@@ -149,23 +149,27 @@ def expand_lcs_product(phi, order: int) -> TruncatedSeries:
     """Expand prod_k (1 - t^k)^(phi_k) to the given order.
 
     Requires order <= len(phi): factors beyond the supplied ranks would
-    change coefficients at or below the truncation order.
+    change coefficients at or below the truncation order.  Each factor is
+    the binomial series sum_j (-1)^j C(p, j) t^(kj), exact for any integer
+    p, with C(p, j) = C(p, j-1) * (p - j + 1) / j.
     """
     if order > len(phi):
         raise ValueError(
             f"order {order} needs {order} ranks, got {len(phi)}"
         )
-    result = one(order)
-    for k, p in enumerate(phi, start=1):
-        if k > order:
-            break
-        if p == 0:
-            continue
-        coeffs = [0] * (order + 1)
-        coeffs[0] = 1
-        coeffs[k] = -1
-        result = result * TruncatedSeries(order, tuple(coeffs)) ** p
-    return result
+    coeffs = [1] + [0] * order
+    for k, p in enumerate(phi[:order], start=1):
+        terms = []  # (shift k*j, coefficient (-1)^j C(p, j)) for j >= 1
+        c = 1
+        for j in range(1, order // k + 1):
+            c = -c * (p - j + 1) // j
+            if c == 0:
+                break
+            terms.append((k * j, c))
+        # descending, so coeffs[i - shift] still holds the previous product
+        for i in range(order, k - 1, -1):
+            coeffs[i] += sum(c * coeffs[i - shift] for shift, c in terms if shift <= i)
+    return TruncatedSeries(order, tuple(coeffs))
 
 
 def moebius(n: int) -> int:

@@ -282,6 +282,80 @@ def test_decompose_complete_single_leaf(k3_file, capsys):
     assert payload["U"] == ["1", "-3", "2", "0"]
 
 
+def test_decompose_text_tree(example_file, capsys):
+    code, out, _ = run_cli(
+        ["decompose", "--input", example_file, "--degree", "3"], capsys
+    )
+    assert code == 0
+    assert out == """\
+graph: 6 vertices, 11 edges
+node pivot=v3 n=6 m=11
+  left: node pivot=v4 n=5 m=8
+    left: leaf[complete-graph] n=4 m=6 U: 1 -6 11 -6
+    right: leaf[complete-graph] n=3 m=3 U: 1 -3 2 0
+    seam: leaf[complete-graph] n=2 m=1 U: 1 -1 0 0
+  U: 1 -8 23 -28
+  right: node pivot=v2 n=4 m=5
+    left: leaf[complete-graph] n=3 m=3 U: 1 -3 2 0
+    right: leaf[complete-graph] n=3 m=3 U: 1 -3 2 0
+    seam: leaf[complete-graph] n=2 m=1 U: 1 -1 0 0
+  U: 1 -5 8 -4
+  seam: node pivot=v2 n=3 m=2
+    left: leaf[complete-graph] n=2 m=1 U: 1 -1 0 0
+    right: leaf[complete-graph] n=2 m=1 U: 1 -1 0 0
+    seam: leaf[single-component-base] n=1 m=0 U: 1 0 0 0
+  U: 1 -2 1 0
+U: 1 -11 48 -104
+U direct: 1 -11 48 -104
+check glued-equals-direct: PASS
+"""
+
+
+def test_decompose_json_tree_matches_text(example_file, capsys):
+    args = ["decompose", "--input", example_file, "--degree", "3"]
+    _, text, _ = run_cli(args, capsys)
+    _, out, _ = run_cli(args + ["--format", "json"], capsys)
+
+    def walk(node, pivots, series):
+        if node["kind"] == "node":
+            pivots.append(node["pivot"])
+            for part in ("left", "right", "seam"):
+                walk(node[part], pivots, series)
+        series.append(" ".join(node["U"]))
+
+    pivots, series = [], []
+    walk(json.loads(out)["tree"], pivots, series)
+    tree_lines = text.splitlines()[1:-2]
+    # text lists pivots before a node's pieces and each U after them
+    assert pivots == [
+        line.split("pivot=")[1].split()[0] for line in tree_lines if "pivot=" in line
+    ]
+    assert series == [line.split("U: ")[1] for line in tree_lines if "U: " in line]
+
+
+def test_decompose_deep_path_within_recursion_limit(tmp_path):
+    # a path splits off one end vertex at a time: a left chain of 998 nodes
+    path = tmp_path / "path.edges"
+    path.write_text("".join(f"p{i} p{i + 1}\n" for i in range(999)))
+    script = (
+        "import sys, glcs.cli\n"
+        "sys.setrecursionlimit(150)\n"
+        f"sys.exit(glcs.cli.main(['decompose', '--degree', '3', '--input', {str(path)!r}]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(glcs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "graph: 1000 vertices, 999 edges"
+    assert lines[-1] == "check glued-equals-direct: PASS"
+    assert proc.stdout.count("node pivot=") == 998
+    assert lines[-3] == "U: 1 -999 498501 -165668499"
+
+
 def test_decompose_mismatch_exit_5(k3_file, capsys, monkeypatch):
     from glcs.series import one
 

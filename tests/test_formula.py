@@ -168,14 +168,6 @@ def test_decomposable_triangle():
     assert decomposable_series(complete_graph(3), 6) == braid_series(3, 6)
 
 
-def test_decomposable_printed_form_diverges():
-    # the uncorrected denominator exponent fails already on one triangle
-    corrected = decomposable_series(complete_graph(3), 6)
-    printed = decomposable_series(complete_graph(3), 6, printed_form=True)
-    assert printed != corrected
-    assert printed == braid_series(3, 6) * expand_product((1,), 6)
-
-
 def test_decomposable_octahedron():
     g = octahedron()
     assert decomposable_series(g, 8) == expand_product((-4, 8), 8)

@@ -4,9 +4,11 @@ import itertools
 
 import pytest
 
+import glcs.graphs
 from glcs import (
     Graph,
     Leaf,
+    MismatchError,
     Node,
     ParseError,
     clique_vector,
@@ -264,6 +266,34 @@ def test_chordal_against_induced_cycle_oracle():
             assert ok == (not _induced_cycle_oracle(g))
             if ok:
                 assert _is_valid_peo(g, witness)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0, 1, 2],  # a triangle's worth, too short
+        [0, 2, 1, 3],  # not in cyclic order
+        [0, 1, 2, 3, 0],  # repeats a vertex
+        [0, 1, 2, 7],  # 7 is not a vertex
+        [0, 1, 3, 4],  # 1 and 3 are not adjacent
+        [0, 1, 2, 3, 4],  # the chord 0-2 makes it not induced
+    ],
+)
+def test_chordless_cycle_witness_is_checked(monkeypatch, bad):
+    g = graph_from_edges(
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (4, 5), (5, 1)]
+    )
+    assert not is_chordal(g)[0]
+    monkeypatch.setattr(glcs.graphs, "_chordless_cycle", lambda g: list(bad))
+    with pytest.raises(MismatchError, match="not an induced cycle"):
+        is_chordal(g)
+
+
+def test_chordless_cycle_missing_is_mismatch(monkeypatch):
+    # a chordal graph whose elimination order is wrongly rejected
+    monkeypatch.setattr(glcs.graphs, "_verify_elimination_order", lambda g, e: False)
+    with pytest.raises(MismatchError, match="no chordless cycle"):
+        is_chordal(complete_graph(4))
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,14 @@ _CERTIFICATE_CASES = {
         "glcs.graphs.is_triangle_complete = lambda big, small: False",
         "glcs.split_at_vertex(glcs.complete_graph(3), 0)",
     ),
+    "chordless_cycle_induced": (
+        "glcs.graphs._chordless_cycle = lambda g: [0, 1, 2]",
+        "glcs.is_chordal(glcs.graph_from_edges([(0, 1), (1, 2), (2, 3), (0, 3)]))",
+    ),
+    "chordless_cycle_found": (
+        "glcs.graphs._verify_elimination_order = lambda g, elim: False",
+        "glcs.is_chordal(glcs.complete_graph(4))",
+    ),
 }
 
 

@@ -1,0 +1,156 @@
+"""The graph layer and the LCS product agree exactly with their references.
+
+The references in reference.py are the direct versions of the same
+routines; lexicographic BFS, the degeneracy order, the chordless-cycle
+witness, triangle completeness, the decomposition tree and the expanded
+LCS product must come out identical, not merely equivalent.
+"""
+
+import random
+
+import pytest
+
+import reference
+from glcs import (
+    Graph,
+    MismatchError,
+    clique_vector,
+    decompose,
+    graph_from_edges,
+    graphic_exponents,
+    is_chordal,
+    is_triangle_complete,
+    phi_from_exponents,
+    split_at_vertex,
+)
+from glcs.graphs import _chordless_cycle, _degeneracy_order, _lex_bfs
+from glcs.series import expand_lcs_product
+from iso import representatives
+
+
+def _relabelled(rng, n, edges):
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return graph_from_edges(
+        [(ids[a], ids[b]) for a, b in edges], vertices=range(n)
+    )
+
+
+def _gnm(rng, n, m):
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return _relabelled(rng, n, rng.sample(pairs, min(m, len(pairs))))
+
+
+def _cycle_with_chords(rng, n, chords):
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    while len(edges) < n + chords:
+        a, b = rng.sample(range(n), 2)
+        if (a, b) not in edges and (b, a) not in edges:
+            edges.add((a, b))
+    return _relabelled(rng, n, sorted(edges))
+
+
+def _seeded_graphs():
+    rng = random.Random(20260)
+    graphs = []
+    for _ in range(240):
+        n = rng.randint(5, 40)
+        m = rng.randint(n - 1, 3 * n)
+        graphs.append(_gnm(rng, n, m))
+    for _ in range(40):
+        n = rng.randint(8, 60)
+        graphs.append(_cycle_with_chords(rng, n, rng.randint(0, 3)))
+    return graphs
+
+
+CLASSES6 = representatives(6)
+SEEDED = _seeded_graphs()
+
+
+def _check_orders_and_witness(g):
+    assert _lex_bfs(g) == reference.lex_bfs(g)
+    assert _degeneracy_order(g) == reference.degeneracy_order(g)
+    expected = reference.chordless_cycle(g)
+    chordal, witness = is_chordal(g)
+    if chordal:
+        assert expected is None
+        with pytest.raises(MismatchError):
+            _chordless_cycle(g)
+    else:
+        assert witness == expected
+    return chordal, witness
+
+
+def test_orders_and_witness_on_every_6_vertex_class():
+    for g in CLASSES6:
+        _check_orders_and_witness(g)
+
+
+def test_orders_and_witness_on_seeded_graphs():
+    lengths = []
+    for g in SEEDED:
+        chordal, witness = _check_orders_and_witness(g)
+        if not chordal:
+            lengths.append(len(witness))
+    # both answers are exercised, and cycles of several lengths
+    assert 0 < len(lengths) < len(SEEDED)
+    assert len(set(lengths)) >= 3
+
+
+def _subgraph_pairs(g, rng):
+    for v in g.vertices:
+        g1, g2, seam = split_at_vertex(g, v)
+        yield g, g1
+        yield g, g2
+        yield g1, seam
+    for _ in range(4):
+        keep = [e for e in g.edges if rng.random() < 0.6]
+        yield g, graph_from_edges(keep, vertices=g.vertices)
+        yield g, Graph(g.vertices, tuple(keep))
+
+
+def test_triangle_complete_matches_reference():
+    rng = random.Random(7)
+    answers = []
+    graphs = list(CLASSES6) + [g for g in SEEDED if g.n_vertices <= 25]
+    for g in graphs:
+        for big, small in _subgraph_pairs(g, rng):
+            got = is_triangle_complete(big, small)
+            assert got == reference.is_triangle_complete(big, small)
+            answers.append(got)
+    assert True in answers and False in answers
+
+
+def test_decompose_matches_reference():
+    for g in list(CLASSES6) + [g for g in SEEDED if g.n_vertices <= 25]:
+        assert decompose(g) == reference.decompose(g)
+
+
+def _sparse_phi(order):
+    rng = random.Random(150)
+    g = _gnm(rng, 150, 450)
+    return phi_from_exponents(graphic_exponents(clique_vector(g)), order)
+
+
+@pytest.mark.parametrize(
+    "phi, order",
+    [
+        ((), 0),
+        ((5,), 0),
+        ((0, 0, 0), 3),
+        ((3, 0, 2), 3),
+        ((-1, 0, 0), 3),
+        ((-4, -2, 7, 0, -1), 5),
+        ((3, 1, 2, 3, 6, 9, 18), 4),  # factors with k > order
+        ((2, -3, 1, 0, 5, -8), 6),
+        ((10**30, -(10**25), 10**20), 3),
+    ],
+)
+def test_expand_lcs_product_matches_reference(phi, order):
+    assert expand_lcs_product(phi, order) == reference.expand_lcs_product(phi, order)
+
+
+def test_expand_lcs_product_degree_60_of_a_150_vertex_graph():
+    phi = _sparse_phi(60)
+    assert max(phi) > 10**15
+    assert expand_lcs_product(phi, 60) == reference.expand_lcs_product(phi, 60)
