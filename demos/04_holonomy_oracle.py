@@ -3,12 +3,13 @@ Holonomy Lie algebra from scratch
 =================================
 
 The independent check behind everything else: present the holonomy Lie
-algebra on edge generators, compute its graded dimensions by exact
-integer elimination in the Lyndon basis, and compare the resulting ranks
+algebra on edge generators, build the graded pieces of its enveloping
+algebra by exact integer elimination, read the Lie ranks off their
+dimensions through the Poincare-Birkhoff-Witt theorem, and compare them
 with the closed-form clique formula.
 
-No series manipulation is involved on the oracle side; the two routes
-share nothing but the graph.
+The oracle never sees the clique counts or the exponents; the two routes
+share nothing but the graph and truncated series arithmetic.
 """
 
 from glcs import (

@@ -2,8 +2,8 @@
 
 The clique vector of a graph determines the ranks in closed form; this
 package computes that formula exactly and cross-checks it three independent
-ways: a brute-force holonomy Lie algebra computation in the Lyndon basis, a
-gluing calculus along vertex splits, and chromatic-polynomial
+ways: a brute-force holonomy Lie algebra computation through its enveloping
+algebra, a gluing calculus along vertex splits, and chromatic-polynomial
 specializations.  All arithmetic is exact integer arithmetic.
 """
 
@@ -50,7 +50,6 @@ from .holonomy import (
     KernelGenerationReport,
     MayerVietorisReport,
     graded_dims,
-    lyndon_basis,
     phi_bruteforce,
     presentation,
     verify_kernel_generation,
@@ -116,7 +115,6 @@ __all__ = [
     "MayerVietorisReport",
     "KernelGenerationReport",
     "witt_dimension",
-    "lyndon_basis",
     "presentation",
     "graded_dims",
     "phi_bruteforce",

@@ -33,7 +33,7 @@ from .graphs import (
     is_chordal,
     parse_graph,
 )
-from .holonomy import phi_bruteforce, verify_mayer_vietoris
+from .holonomy import _env_max_dim, phi_bruteforce, verify_mayer_vietoris
 from .series import expand_lcs_product, expand_product, phi_from_exponents
 
 EXIT_OK = 0
@@ -369,7 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    max_dim = args.max_dim
+    if max_dim is None and args.command == "verify":
+        # read here, so that a bad value is a usage error like --max-dim 0
+        try:
+            max_dim = _env_max_dim()
+        except ValueError as exc:
+            parser.error(str(exc))
     cfg = RunConfig(
         command=args.command,
         input_path=args.input,
@@ -377,7 +385,7 @@ def main(argv=None) -> int:
         oracle_degree=args.oracle_degree,
         format=args.format,
         strict_parse=args.strict,
-        max_dim=args.max_dim,
+        max_dim=max_dim,
     )
     try:
         payload, lines, code = _COMMANDS[cfg.command](cfg)

@@ -2,11 +2,12 @@
 
 Generators are the graph's edges (1-based indices); relators live in degree
 two: one commutator per edge pair spanning no triangle, and two relators per
-triangle.  Degree-k pieces of the relator ideal are built by bracketing a
-basis of the previous degree with the generators, rewriting everything into
-the Lyndon basis of the free Lie algebra, and running exact integer
-elimination.  No floating point and no modular shortcuts: ranks are certified
-over the rationals.
+triangle.  The oracle builds the enveloping algebra U(h) = T(V)/(R) degree by
+degree, each graded piece A_k as the cokernel of an exact integer matrix
+R ⊗ A_{k-2} -> V ⊗ A_{k-1}, and reads the Lie ranks off dim A_k through the
+Poincare-Birkhoff-Witt identity sum dim A_k t^k = prod_k (1 - t^k)^(-phi_k).
+No Lie word is ever formed.  No floating point and no modular shortcuts:
+ranks are certified over the rationals.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd
 
 from .errors import FeasibilityError, MismatchError
 from .graphs import Graph, is_triangle_complete
-from .series import moebius
+from .series import expand_lcs_product, moebius
 
 __all__ = [
     "HolonomyPresentation",
@@ -25,10 +26,6 @@ __all__ = [
     "MayerVietorisReport",
     "KernelGenerationReport",
     "witt_dimension",
-    "lyndon_basis",
-    "standard_bracketing",
-    "bracket_expansion",
-    "lyndon_coordinates",
     "presentation",
     "graded_dims",
     "phi_bruteforce",
@@ -55,159 +52,6 @@ def witt_dimension(m: int, k: int) -> int:
             f"necklace sum {total} for m={m} is not divisible by k={k}"
         )
     return total // k
-
-
-# ---------------------------------------------------------------------------
-# Lyndon words and the free Lie algebra
-
-def lyndon_basis(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All Lyndon words of length k over letters 1..m, in lexicographic order.
-
-    Their standard bracketings form a basis of the degree-k piece of the
-    free Lie algebra, so the count is the Witt dimension.
-    """
-    if m < 1 or k < 1:
-        return ()
-    return tuple(w for w in _duval(m, k) if len(w) == k)
-
-
-def _duval(m: int, maxlen: int):
-    """Yield all Lyndon words over 1..m of length <= maxlen, in lex order."""
-    w = [0]
-    while w:
-        w[-1] += 1
-        yield tuple(w)
-        period = len(w)
-        while len(w) < maxlen:
-            w.append(w[len(w) - period])
-        while w and w[-1] == m:
-            w.pop()
-
-
-def is_lyndon(w: tuple[int, ...]) -> bool:
-    return len(w) >= 1 and all(w < w[i:] + w[:i] for i in range(1, len(w)))
-
-
-_BRACKETING_CACHE: dict[tuple[int, ...], object] = {}
-
-
-def standard_bracketing(w: tuple[int, ...]):
-    """Right-normed standard bracketing of a Lyndon word.
-
-    A letter stands for itself; longer words split as u*v with v the
-    lexicographically smallest proper suffix (itself Lyndon), giving the
-    nested pair (bracketing(u), bracketing(v)).
-    """
-    cached = _BRACKETING_CACHE.get(w)
-    if cached is not None:
-        return cached
-    if len(w) == 1:
-        result = w[0]
-    else:
-        v = min(w[i:] for i in range(1, len(w)))
-        u = w[: len(w) - len(v)]
-        result = (standard_bracketing(u), standard_bracketing(v))
-    _BRACKETING_CACHE[w] = result
-    return result
-
-
-def bracket_expansion(tree) -> dict[tuple[int, ...], int]:
-    """Expand a bracketing tree in the free associative algebra.
-
-    Leaves are letters; an internal node (a, b) is the commutator ab - ba.
-    Returns word -> integer coefficient with zeros dropped.
-    """
-    if isinstance(tree, int):
-        return {(tree,): 1}
-    left = bracket_expansion(tree[0])
-    right = bracket_expansion(tree[1])
-    out: dict[tuple[int, ...], int] = {}
-    for wa, ca in left.items():
-        for wb, cb in right.items():
-            c = ca * cb
-            k1 = wa + wb
-            n1 = out.get(k1, 0) + c
-            if n1:
-                out[k1] = n1
-            elif k1 in out:
-                del out[k1]
-            k2 = wb + wa
-            n2 = out.get(k2, 0) - c
-            if n2:
-                out[k2] = n2
-            elif k2 in out:
-                del out[k2]
-    return out
-
-
-_ASSOC_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-
-
-def _assoc_of_lyndon(w: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    cached = _ASSOC_CACHE.get(w)
-    if cached is None:
-        cached = bracket_expansion(standard_bracketing(w))
-        if cached.get(w) != 1:
-            raise MismatchError(f"leading coefficient of {w} is not 1")
-        _ASSOC_CACHE[w] = cached
-    return cached
-
-
-def lyndon_coordinates(poly: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """Coordinates of a homogeneous Lie element in the Lyndon basis.
-
-    Repeatedly peels off the lexicographically smallest word: for a Lie
-    element it is always Lyndon and its coefficient is the coordinate on
-    that basis vector (basis expansions are triangular: each one is its
-    word plus lexicographically larger rearrangements).  A non-Lyndon
-    minimal word therefore certifies that the input was not a Lie element,
-    which doubles as a soundness check on the rewriting itself.
-    """
-    work = {w: c for w, c in poly.items() if c}
-    coords: dict[tuple[int, ...], int] = {}
-    while work:
-        w = min(work)
-        if not is_lyndon(w):
-            raise ValueError(f"minimal word {w} is not Lyndon: not a Lie element")
-        c = work.pop(w)
-        coords[w] = c
-        for v, cv in _assoc_of_lyndon(w).items():
-            if v == w:
-                continue
-            n = work.get(v, 0) - c * cv
-            if n:
-                work[v] = n
-            elif v in work:
-                del work[v]
-    return coords
-
-
-_BRACKET_TABLE: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
-
-
-def _bracket_with_generator(w: tuple[int, ...], i: int) -> dict[tuple[int, ...], int]:
-    """Lyndon coordinates of [P_w, x_i] for a Lyndon word w."""
-    key = (w, i)
-    cached = _BRACKET_TABLE.get(key)
-    if cached is None:
-        pw = _assoc_of_lyndon(w)
-        poly: dict[tuple[int, ...], int] = {}
-        for v, c in pw.items():
-            k1 = v + (i,)
-            n1 = poly.get(k1, 0) + c
-            if n1:
-                poly[k1] = n1
-            elif k1 in poly:
-                del poly[k1]
-            k2 = (i,) + v
-            n2 = poly.get(k2, 0) - c
-            if n2:
-                poly[k2] = n2
-            elif k2 in poly:
-                del poly[k2]
-        cached = lyndon_coordinates(poly)
-        _BRACKET_TABLE[key] = cached
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +101,50 @@ class _Echelon:
                 # a compact copy: the deletions above leave the table sparse
                 pivots[lead] = dict(work)
                 return True
-            a = work[lead]
-            b = prow[lead]
-            g = gcd(a, b)
-            ma = b // g
-            mb = a // g
-            if ma != 1:
-                for k in work:
-                    work[k] *= ma
-            for k, c in prow.items():
-                n = work.get(k, 0) - mb * c
-                if n:
-                    work[k] = n
-                else:
-                    del work[k]
-            if ma != 1:
-                # unscaled, work only lost a multiple of prow; a common
-                # factor left then is stripped when the row is stored
-                _strip_gcd(work)
+            _cancel(work, prow, lead)
         return False
+
+    def back_reduced(self) -> dict[int, dict[int, int]]:
+        """Lead -> row reduced to its lead and the non-pivot columns.
+
+        Fraction-free: each row is made primitive with a positive lead.
+        The stored rows are left as they are.
+        """
+        out: dict[int, dict[int, int]] = {}
+        for lead in sorted(self.pivots, reverse=True):
+            work = dict(self.pivots[lead])
+            # every other pivot in the row is larger, so already reduced
+            for col in [c for c in work if c != lead and c in out]:
+                _cancel(work, out[col], col)
+            _strip_gcd(work, make_positive_at=lead)
+            out[lead] = work
+        return out
+
+
+def _cancel(work: dict[int, int], prow: dict[int, int], key: int):
+    """Clear work[key] with prow, whose entry there is positive, in place.
+
+    work is scaled by a positive integer only when prow's entry does not
+    divide work's; a common factor left then is stripped.
+    """
+    a = work[key]
+    b = prow[key]
+    g = gcd(a, b)
+    ma = b // g
+    mb = a // g
+    if ma != 1:
+        for k in work:
+            work[k] *= ma
+    for k, c in prow.items():
+        n = work.get(k, 0) - mb * c
+        if n:
+            work[k] = n
+        else:
+            del work[k]
+    if ma != 1:
+        # unscaled, work only lost a multiple of prow; a common factor
+        # left can only come from the scaling
+        _strip_gcd(work)
 
 
 def _strip_gcd(row: dict[int, int], make_positive_at: int | None = None):
@@ -298,9 +167,9 @@ def _strip_gcd(row: dict[int, int], make_positive_at: int | None = None):
 class HolonomyPresentation:
     """Degree-two presentation of the holonomy Lie algebra of a graph.
 
-    relators are linear combinations of degree-2 Lyndon basis vectors,
-    each stored as a sorted tuple of ((i, j), coefficient) pairs with
-    i < j generator indices.
+    relators are linear combinations of the degree-2 commutators
+    [x_i, x_j], each stored as a sorted tuple of ((i, j), coefficient)
+    pairs with i < j generator indices.
     """
 
     num_generators: int
@@ -343,49 +212,147 @@ class GradedDims:
     quotient_dims: tuple[int, ...]
 
 
-# Echelons are kept for the few most recently used presentations only:
+class _Cokernels:
+    """The enveloping algebra U(h) = T(V)/(R) of one presentation, by degree.
+
+    A_k = coker(R ⊗ A_{k-2} -> V ⊗ A_{k-1}): column a * dims[k-1] + f of
+    degree k stands for x_a times basis element f of A_{k-1}, and relator
+    r = sum c_ab x_a x_b with basis element g of A_{k-2} gives the row
+    sum c_ab e_a ⊗ mu[k-1](x_b ⊗ g).  The free columns of the degree-k
+    echelon are the basis of A_k.  mu[k] maps each column of degree k to
+    its normal form in A_k, as (denominator, ((basis index, numerator),
+    ...)); it is built from the echelon only when asked for.
+    """
+
+    __slots__ = ("m", "terms", "dims", "mu", "top")
+
+    def __init__(self, p: HolonomyPresentation):
+        self.m = p.num_generators
+        # [x_i, x_j] = x_i x_j - x_j x_i, with letters from 0
+        self.terms = [
+            tuple(
+                t
+                for (i, j), c in rel
+                for t in ((i - 1, j - 1, c), (j - 1, i - 1, -c))
+            )
+            for rel in p.relators
+        ]
+        self.dims = [1, self.m]
+        self.mu = [None, [(1, ((a, 1),)) for a in range(self.m)]]
+        self.top: _Echelon | None = None
+
+    def extend(self):
+        """Eliminate the next degree."""
+        k = len(self.dims)
+        mu = self.normal_form(k - 1)
+        width = self.dims[k - 1]
+        below = self.dims[k - 2]
+        ech = _Echelon()
+        for terms in self.terms:
+            for g in range(below):
+                ech.insert(
+                    _image([(a, b * below + g, c) for a, b, c in terms], mu, width)
+                )
+        self.dims.append(self.m * width - ech.rank)
+        self.top = ech
+
+    def normal_form(self, k: int) -> list:
+        """mu[k], built from the degree-k echelon on first use."""
+        if k < len(self.mu):
+            return self.mu[k]
+        ech = self.top
+        pos: dict[int, int] = {}
+        mu: list = []
+        for col in range(self.m * self.dims[k - 1]):
+            if col in ech.pivots:
+                mu.append(None)
+            else:
+                pos[col] = len(pos)
+                mu.append((1, ((pos[col], 1),)))
+        for lead, row in ech.back_reduced().items():
+            mu[lead] = (
+                row[lead],
+                tuple((pos[f], -c) for f, c in row.items() if f != lead),
+            )
+        self.mu.append(mu)
+        self.top = None
+        return mu
+
+
+def _image(terms, mu, width: int) -> dict[int, int]:
+    """An integer multiple of sum c * e_a ⊗ mu[col] over terms (a, col, c).
+
+    e_a ⊗ (basis element f) is column a * width + f; with a = 0 and width
+    0 this is the normal form of sum c * e_col.
+    """
+    den = 1
+    for _, col, _ in terms:
+        d = mu[col][0]
+        den = den * d // gcd(den, d)
+    row: dict[int, int] = {}
+    for a, col, c in terms:
+        d, vec = mu[col]
+        scale = c * (den // d)
+        base = a * width
+        for f, num in vec:
+            key = base + f
+            n = row.get(key, 0) + scale * num
+            if n:
+                row[key] = n
+            else:
+                del row[key]
+    return row
+
+
+def _pbw_ranks(dims) -> tuple[int, ...]:
+    """phi_1, phi_2, ... of a graded Lie algebra from dims[k] = dim U_k.
+
+    PBW: sum dims[k] t^k = prod_k (1 - t^k)^(-phi_k), so phi_k is the
+    coefficient of t^k in that series times prod_{j<k} (1 - t^j)^(phi_j).
+    """
+    phi: list[int] = []
+    for k in range(1, len(dims)):
+        prod = expand_lcs_product(phi + [0], k).coeffs
+        phi.append(sum(dims[i] * prod[k - i] for i in range(k + 1)))
+    return tuple(phi)
+
+
+# Cokernels are kept for the few most recently used presentations only:
 # enough for one `glcs verify`, which goes back to g between the seam and
-# the two pieces of each Mayer-Vietoris pivot.  The word tables are shared
-# by all presentations and stay.
+# the two pieces of each Mayer-Vietoris pivot.
 _STATE_CACHE_SIZE = 4
-_STATE_CACHE: dict[tuple[int, tuple], dict[int, _Echelon]] = {}
+_STATE_CACHE: dict[tuple[int, tuple], _Cokernels] = {}
 
 
-def _ideal_state(p: HolonomyPresentation) -> dict[int, _Echelon]:
-    """The cached degree -> echelon map of a presentation, now most recent."""
+def _cokernels(p: HolonomyPresentation) -> _Cokernels:
+    """The cached state of a presentation, now the most recent entry."""
     key = (p.num_generators, p.relators)
     state = _STATE_CACHE.pop(key, None)
     if state is None:
-        state = {}
+        state = _Cokernels(p)
         while len(_STATE_CACHE) >= _STATE_CACHE_SIZE:
             del _STATE_CACHE[next(iter(_STATE_CACHE))]
     _STATE_CACHE[key] = state
     return state
 
 
-_LYNDON_INDEX: dict[
-    tuple[int, int], tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]
-] = {}
-
-
-def _lyndon_index(
-    m: int, k: int
-) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """Lyndon words of length k over m letters, and word -> position.
-
-    Shared by every presentation with m generators.
-    """
-    entry = _LYNDON_INDEX.get((m, k))
-    if entry is None:
-        words = lyndon_basis(m, k)
-        entry = _LYNDON_INDEX[(m, k)] = (words, {w: i for i, w in enumerate(words)})
-    return entry
+def _env_max_dim() -> int | None:
+    """The GLCS_MAX_DIM cap, or None when it is not set."""
+    env = os.environ.get("GLCS_MAX_DIM")
+    if not env:
+        return None
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"GLCS_MAX_DIM must be an integer >= 1, got {env!r}")
+    return value
 
 
 def _resolve_caps(max_dim: int | None, max_entries: int | None) -> tuple[int, int]:
     if max_dim is None:
-        env = os.environ.get("GLCS_MAX_DIM")
-        max_dim = int(env) if env else DEFAULT_MAX_DIM
+        max_dim = _env_max_dim() or DEFAULT_MAX_DIM
     if max_entries is None:
         max_entries = DEFAULT_MAX_ENTRIES
     return max_dim, max_entries
@@ -400,19 +367,22 @@ def graded_dims(
 ) -> GradedDims:
     """Exact graded dimensions of the holonomy Lie algebra up to a degree.
 
-    Degree k of the ideal is spanned by brackets of a degree-(k-1) basis
-    with the generators (the ideal is generated in degree 2, so this
-    recursion is exhaustive).  Work beyond the configured caps (free Lie
-    dimension above max_dim, or estimated matrix entries above max_entries;
-    GLCS_MAX_DIM overrides the former) raises FeasibilityError instead of
-    grinding.  The echelons of the most recently used presentations are
-    cached and extended on demand.
+    The enveloping algebra's graded pieces A_k are built as cokernels of
+    exact integer matrices, degree by degree, and the Lie ranks phi_k are
+    read off their dimensions through PBW.  The free dimensions are the
+    Witt dimensions and the ideal dimensions their difference from phi.
+    Work beyond the configured caps (free Lie dimension above max_dim, or
+    more than max_entries entries in the dense degree-k matrix, counted
+    for k >= 3; GLCS_MAX_DIM overrides the former) raises FeasibilityError
+    instead of grinding.  The cokernels of the most recently used
+    presentations are cached and extended on demand.
     """
     if up_to < 1:
         raise ValueError("up_to must be >= 1")
     max_dim, max_entries = _resolve_caps(max_dim, max_entries)
-    state = _ideal_state(p)
+    state = _cokernels(p)
     m = p.num_generators
+    dims = state.dims
     free = [witt_dimension(m, k) for k in range(1, up_to + 1)]
     for k in range(2, up_to + 1):
         # checked even when the degree is already cached, so the outcome
@@ -425,49 +395,24 @@ def graded_dims(
                 dimension=wd,
             )
         if k >= 3:
-            est = len(state[k - 1].pivots) * m * wd
-            if est > max_entries:
+            entries = len(p.relators) * dims[k - 2] * m * dims[k - 1]
+            if entries > max_entries:
                 raise FeasibilityError(
-                    f"estimated {est} matrix entries at degree {k} exceed the "
+                    f"{entries} matrix entries at degree {k} exceed the "
                     f"cap {max_entries}; lower the degree",
-                    entries=est,
+                    entries=entries,
                 )
-        if k in state:
-            continue
-        ech = _Echelon()
-        ranks = _lyndon_index(m, k)[1]
-        if k == 2:
-            for rel in p.relators:
-                ech.insert({ranks[word]: c for word, c in rel})
-        else:
-            prev = state[k - 1]
-            prev_words = _lyndon_index(m, k - 1)[0]
-            candidates = []
-            for lead in sorted(prev.pivots):
-                row = prev.pivots[lead]
-                for i in range(1, m + 1):
-                    cand: dict[int, int] = {}
-                    for idx, c in row.items():
-                        for v, cv in _bracket_with_generator(prev_words[idx], i).items():
-                            r = ranks[v]
-                            n = cand.get(r, 0) + c * cv
-                            if n:
-                                cand[r] = n
-                            elif r in cand:
-                                del cand[r]
-                    if cand:
-                        candidates.append((min(cand), cand))
-            candidates.sort(key=lambda t: t[0])
-            for _, cand in candidates:
-                ech.insert(cand)
-        state[k] = ech
-    ideal = [0] + [state[k].rank for k in range(2, up_to + 1)]
-    quotient = [f - i for f, i in zip(free, ideal)]
-    if any(q < 0 for q in quotient):
+        if k == len(dims):
+            state.extend()
+    phi = _pbw_ranks(dims[: up_to + 1])
+    if any(not 0 <= q <= f for q, f in zip(phi, free)):
         raise MismatchError(
-            f"ideal dimensions {ideal} exceed the free Lie dimensions {free}"
+            f"ranks {phi} read off the enveloping algebra leave the range "
+            f"0..{free} of the free Lie dimensions"
         )
-    return GradedDims(tuple(free), tuple(ideal), tuple(quotient))
+    return GradedDims(
+        tuple(free), tuple(f - q for f, q in zip(free, phi)), phi
+    )
 
 
 def phi_bruteforce(
@@ -571,10 +516,11 @@ def verify_kernel_generation(
 ) -> KernelGenerationReport:
     """Check that generators outside a triangle-complete subgraph span the kernel.
 
-    For each degree k, the image in the quotient of the free-Lie span of
-    Lyndon words over the outside edge indices must have dimension
-    phi_k(g) - phi_k(sub).  The span dimension is computed by inserting
-    those (unit) basis vectors into a copy of the degree-k ideal echelon.
+    For each degree k, the Lie subalgebra of h(g) generated by the outside
+    edges must have dimension phi_k(g) - phi_k(sub).  Its enveloping
+    algebra embeds in U(h(g)) (PBW) as the span S of products of outside
+    letters: S_1 is their span and S_k = outside * S_{k-1} in A_k.  The
+    Lie dimensions are read off dim S_k through PBW.
     """
     if not is_triangle_complete(g, sub):
         raise ValueError("subgraph is not triangle-complete in g")
@@ -587,24 +533,26 @@ def verify_kernel_generation(
     phi_g = graded_dims(
         p, up_to, max_dim=max_dim, max_entries=max_entries
     ).quotient_dims
-    # g's echelons are held here: computing sub may evict them from the cache.
-    # p is the most recent entry, so this lookup evicts nothing.
-    state = _ideal_state(p)
+    # g's cokernels are held here: computing sub may evict them from the
+    # cache.  p is the most recent entry, so this lookup evicts nothing.
+    state = _cokernels(p)
     phi_sub = phi_bruteforce(sub, up_to, max_dim=max_dim, max_entries=max_entries)
-    rows = []
-    for k in range(1, up_to + 1):
-        ranks = _lyndon_index(g.n_edges, k)[1]
-        ech = state[k].copy() if k >= 2 else _Echelon()
-        added = 0
-        for w in _lyndon_words_over(outside, k):
-            if ech.insert({ranks[w]: 1}):
-                added += 1
-        rows.append(KernelGenerationRow(k, phi_g[k - 1] - phi_sub[k - 1], added))
-    return KernelGenerationReport(outside, tuple(rows))
-
-
-def _lyndon_words_over(letters: tuple[int, ...], k: int):
-    """Lyndon words of length k over an arbitrary increasing alphabet."""
-    alphabet = sorted(letters)
-    for w in lyndon_basis(len(alphabet), k):
-        yield tuple(alphabet[i - 1] for i in w)
+    span = [{a - 1: 1} for a in outside]
+    dims = [1, len(span)]
+    for k in range(2, up_to + 1):
+        mu = state.normal_form(k)
+        width = state.dims[k - 1]
+        ech = _Echelon()
+        for a in outside:
+            for vec in span:
+                # the normal form of x_a * vec, in A_k
+                terms = [(0, (a - 1) * width + f, c) for f, c in vec.items()]
+                ech.insert(_image(terms, mu, 0))
+        span = list(ech.pivots.values())
+        dims.append(ech.rank)
+    spanned = _pbw_ranks(dims)
+    rows = tuple(
+        KernelGenerationRow(k, phi_g[k - 1] - phi_sub[k - 1], spanned[k - 1])
+        for k in range(1, up_to + 1)
+    )
+    return KernelGenerationReport(outside, rows)

@@ -1,4 +1,4 @@
-"""Straightforward reference versions of the graph-layer and series routines.
+"""Straightforward reference versions of glcs routines.
 
 Each follows its definition directly, with no shared search or shortcut, so
 the faster versions in glcs are tested for identical results against them.
@@ -8,7 +8,19 @@ from __future__ import annotations
 
 import itertools
 
-from glcs import Graph, Leaf, Node, split_at_vertex
+from glcs import (
+    GradedDims,
+    Graph,
+    HolonomyPresentation,
+    KernelGenerationReport,
+    Leaf,
+    MismatchError,
+    Node,
+    presentation,
+    split_at_vertex,
+    witt_dimension,
+)
+from glcs.holonomy import KernelGenerationRow, _Echelon
 from glcs.series import TruncatedSeries, one
 
 
@@ -114,3 +126,236 @@ def expand_lcs_product(phi, order: int) -> TruncatedSeries:
         coeffs[k] = -1
         result = result * TruncatedSeries(order, tuple(coeffs)) ** p
     return result
+
+
+# ---------------------------------------------------------------------------
+# the holonomy oracle in the Lyndon basis of the free Lie algebra
+#
+# Degree k of the relator ideal is spanned by brackets of a basis of degree
+# k - 1 with the generators; every bracket is rewritten into Lyndon
+# coordinates and the ideal is eliminated exactly.  glcs computes the same
+# dimensions from the enveloping algebra instead, and never forms a Lie word.
+
+def lyndon_basis(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All Lyndon words of length k over letters 1..m, in lexicographic order.
+
+    Their standard bracketings form a basis of the degree-k piece of the
+    free Lie algebra, so the count is the Witt dimension.
+    """
+    if m < 1 or k < 1:
+        return ()
+    return tuple(w for w in _duval(m, k) if len(w) == k)
+
+
+def _duval(m: int, maxlen: int):
+    """Yield all Lyndon words over 1..m of length <= maxlen, in lex order."""
+    w = [0]
+    while w:
+        w[-1] += 1
+        yield tuple(w)
+        period = len(w)
+        while len(w) < maxlen:
+            w.append(w[len(w) - period])
+        while w and w[-1] == m:
+            w.pop()
+
+
+def is_lyndon(w: tuple[int, ...]) -> bool:
+    return len(w) >= 1 and all(w < w[i:] + w[:i] for i in range(1, len(w)))
+
+
+_BRACKETING_CACHE: dict[tuple[int, ...], object] = {}
+
+
+def standard_bracketing(w: tuple[int, ...]):
+    """Right-normed standard bracketing of a Lyndon word.
+
+    A letter stands for itself; longer words split as u*v with v the
+    lexicographically smallest proper suffix (itself Lyndon), giving the
+    nested pair (bracketing(u), bracketing(v)).
+    """
+    cached = _BRACKETING_CACHE.get(w)
+    if cached is not None:
+        return cached
+    if len(w) == 1:
+        result = w[0]
+    else:
+        v = min(w[i:] for i in range(1, len(w)))
+        u = w[: len(w) - len(v)]
+        result = (standard_bracketing(u), standard_bracketing(v))
+    _BRACKETING_CACHE[w] = result
+    return result
+
+
+def bracket_expansion(tree) -> dict[tuple[int, ...], int]:
+    """Expand a bracketing tree in the free associative algebra.
+
+    Leaves are letters; an internal node (a, b) is the commutator ab - ba.
+    Returns word -> integer coefficient with zeros dropped.
+    """
+    if isinstance(tree, int):
+        return {(tree,): 1}
+    left = bracket_expansion(tree[0])
+    right = bracket_expansion(tree[1])
+    out: dict[tuple[int, ...], int] = {}
+    for wa, ca in left.items():
+        for wb, cb in right.items():
+            c = ca * cb
+            for key, delta in ((wa + wb, c), (wb + wa, -c)):
+                n = out.get(key, 0) + delta
+                if n:
+                    out[key] = n
+                else:
+                    out.pop(key, None)
+    return out
+
+
+_ASSOC_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+
+
+def _assoc_of_lyndon(w: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    cached = _ASSOC_CACHE.get(w)
+    if cached is None:
+        cached = bracket_expansion(standard_bracketing(w))
+        if cached.get(w) != 1:
+            raise MismatchError(f"leading coefficient of {w} is not 1")
+        _ASSOC_CACHE[w] = cached
+    return cached
+
+
+def lyndon_coordinates(poly: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """Coordinates of a homogeneous Lie element in the Lyndon basis.
+
+    Repeatedly peels off the lexicographically smallest word: for a Lie
+    element it is always Lyndon and its coefficient is the coordinate on
+    that basis vector (basis expansions are triangular: each one is its
+    word plus lexicographically larger rearrangements).  A non-Lyndon
+    minimal word therefore certifies that the input was not a Lie element.
+    """
+    work = {w: c for w, c in poly.items() if c}
+    coords: dict[tuple[int, ...], int] = {}
+    while work:
+        w = min(work)
+        if not is_lyndon(w):
+            raise ValueError(f"minimal word {w} is not Lyndon: not a Lie element")
+        c = work.pop(w)
+        coords[w] = c
+        for v, cv in _assoc_of_lyndon(w).items():
+            if v == w:
+                continue
+            n = work.get(v, 0) - c * cv
+            if n:
+                work[v] = n
+            else:
+                work.pop(v, None)
+    return coords
+
+
+_BRACKET_TABLE: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
+
+
+def _bracket_with_generator(w: tuple[int, ...], i: int) -> dict[tuple[int, ...], int]:
+    """Lyndon coordinates of [P_w, x_i] for a Lyndon word w."""
+    key = (w, i)
+    cached = _BRACKET_TABLE.get(key)
+    if cached is None:
+        poly: dict[tuple[int, ...], int] = {}
+        for v, c in _assoc_of_lyndon(w).items():
+            for word, delta in ((v + (i,), c), ((i,) + v, -c)):
+                n = poly.get(word, 0) + delta
+                if n:
+                    poly[word] = n
+                else:
+                    poly.pop(word, None)
+        cached = _BRACKET_TABLE[key] = lyndon_coordinates(poly)
+    return cached
+
+
+_LYNDON_INDEX: dict[tuple[int, int], tuple[tuple, dict]] = {}
+
+
+def _lyndon_index(m: int, k: int):
+    """Lyndon words of length k over m letters, and word -> position."""
+    entry = _LYNDON_INDEX.get((m, k))
+    if entry is None:
+        words = lyndon_basis(m, k)
+        entry = _LYNDON_INDEX[(m, k)] = (words, {w: i for i, w in enumerate(words)})
+    return entry
+
+
+def ideal_echelons(p: HolonomyPresentation, up_to: int) -> dict[int, _Echelon]:
+    """Degree -> echelon of the relator ideal in Lyndon coordinates, k >= 2.
+
+    Degree k is spanned by brackets of a degree-(k-1) basis with the
+    generators, since the ideal is generated in degree 2.
+    """
+    m = p.num_generators
+    state: dict[int, _Echelon] = {}
+    for k in range(2, up_to + 1):
+        ech = _Echelon()
+        ranks = _lyndon_index(m, k)[1]
+        if k == 2:
+            for rel in p.relators:
+                ech.insert({ranks[word]: c for word, c in rel})
+        else:
+            prev = state[k - 1]
+            prev_words = _lyndon_index(m, k - 1)[0]
+            candidates = []
+            for lead in sorted(prev.pivots):
+                row = prev.pivots[lead]
+                for i in range(1, m + 1):
+                    cand: dict[int, int] = {}
+                    for idx, c in row.items():
+                        for v, cv in _bracket_with_generator(prev_words[idx], i).items():
+                            r = ranks[v]
+                            n = cand.get(r, 0) + c * cv
+                            if n:
+                                cand[r] = n
+                            else:
+                                cand.pop(r, None)
+                    if cand:
+                        candidates.append((min(cand), cand))
+            candidates.sort(key=lambda t: t[0])
+            for _, cand in candidates:
+                ech.insert(cand)
+        state[k] = ech
+    return state
+
+
+def graded_dims(p: HolonomyPresentation, up_to: int) -> GradedDims:
+    """Free Lie, ideal and quotient dimensions per degree 1..up_to, uncapped."""
+    return _dims(p, ideal_echelons(p, up_to), up_to)
+
+
+def _dims(p: HolonomyPresentation, state: dict[int, _Echelon], up_to: int) -> GradedDims:
+    free = [witt_dimension(p.num_generators, k) for k in range(1, up_to + 1)]
+    ideal = [0] + [state[k].rank for k in range(2, up_to + 1)]
+    return GradedDims(
+        tuple(free), tuple(ideal), tuple(f - i for f, i in zip(free, ideal))
+    )
+
+
+def verify_kernel_generation(g: Graph, sub: Graph, up_to: int) -> KernelGenerationReport:
+    """The image of the free Lie span of Lyndon words over the outside edges.
+
+    Its dimension in degree k is the rank the unit vectors of those words
+    add to the degree-k ideal echelon.
+    """
+    if not is_triangle_complete(g, sub):
+        raise ValueError("subgraph is not triangle-complete in g")
+    sub_edges = set(sub.edges)
+    outside = tuple(i for i, e in enumerate(g.edges, start=1) if e not in sub_edges)
+    p = presentation(g)
+    state = ideal_echelons(p, up_to)
+    phi_g = _dims(p, state, up_to).quotient_dims
+    phi_sub = graded_dims(presentation(sub), up_to).quotient_dims
+    rows = []
+    for k in range(1, up_to + 1):
+        ranks = _lyndon_index(g.n_edges, k)[1]
+        ech = state[k].copy() if k >= 2 else _Echelon()
+        added = 0
+        for w in lyndon_basis(len(outside), k):
+            if ech.insert({ranks[tuple(outside[i - 1] for i in w)]: 1}):
+                added += 1
+        rows.append(KernelGenerationRow(k, phi_g[k - 1] - phi_sub[k - 1], added))
+    return KernelGenerationReport(outside, tuple(rows))

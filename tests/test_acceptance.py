@@ -25,7 +25,6 @@ from glcs import (
     graphic_exponents,
     is_chordal,
     linear_factor,
-    lyndon_basis,
     parse_graph,
     phi_bruteforce,
     phi_from_exponents,
@@ -34,13 +33,13 @@ from glcs import (
     verify_mayer_vietoris,
     witt_dimension,
 )
-from glcs.holonomy import (
+from iso import representatives
+from reference import (
     bracket_expansion,
+    lyndon_basis,
     lyndon_coordinates,
     standard_bracketing,
 )
-
-from iso import representatives
 
 EXAMPLE = (
     "v1 v2\nv2 v3\nv3 v4\nv4 v1\n"

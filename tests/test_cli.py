@@ -190,6 +190,17 @@ def test_verify_env_cap(k3_file, capsys, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_verify_env_cap_rejects_bad_value(k3_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("GLCS_MAX_DIM", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--input", k3_file])
+    assert exc.value.code == cli.EXIT_PARSE == 2
+    err = capsys.readouterr().err
+    assert "GLCS_MAX_DIM" in err
+    assert "Traceback" not in err
+
+
 def test_verify_mismatch_exit_5(k3_file, capsys, monkeypatch):
     # plumbing check: a disagreeing oracle must surface as exit code 5
     monkeypatch.setattr(cli, "phi_bruteforce", lambda g, d, **kw: (9, 9, 9, 9))

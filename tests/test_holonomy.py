@@ -1,4 +1,7 @@
-"""Brute-force holonomy ranks: Lyndon machinery, echelons, cross-checks."""
+"""Brute-force holonomy ranks: echelons, cokernels, cross-checks.
+
+The Lyndon-basis tests exercise the reference oracle in reference.py.
+"""
 
 import copy
 import math
@@ -19,7 +22,6 @@ from glcs import (
     graded_dims,
     graph_from_edges,
     graphic_exponents,
-    lyndon_basis,
     parse_graph,
     phi_bruteforce,
     phi_from_exponents,
@@ -29,10 +31,11 @@ from glcs import (
     witt_dimension,
 )
 from glcs import holonomy
-from glcs.holonomy import (
-    _Echelon,
+from glcs.holonomy import _Echelon
+from reference import (
     bracket_expansion,
     is_lyndon,
+    lyndon_basis,
     lyndon_coordinates,
     standard_bracketing,
 )
@@ -45,7 +48,7 @@ EXAMPLE = (
 
 
 # ---------------------------------------------------------------------------
-# free Lie algebra infrastructure
+# free Lie algebra infrastructure (the reference oracle's)
 
 def test_witt_dimensions():
     assert witt_dimension(1, 1) == 1
@@ -281,15 +284,14 @@ def test_third_triangle_bracket_in_span():
     # [x_c, x_a + x_b] is dependent on the two relators kept per triangle
     g = parse_graph(EXAMPLE)
     p = presentation(g)
-    ranks = {w: i for i, w in enumerate(lyndon_basis(p.num_generators, 2))}
     ech = _Echelon()
     for rel in p.relators:
-        ech.insert({ranks[w]: c for w, c in rel})
+        ech.insert(dict(rel))
     for u, v, w in g.triangles():
         a, b, c = sorted(
             (g.edge_index(u, v), g.edge_index(u, w), g.edge_index(v, w))
         )
-        third = {ranks[(a, c)]: -1, ranks[(b, c)]: -1}
+        third = {(a, c): -1, (b, c): -1}
         assert not ech.copy().insert(third)
 
 
@@ -304,11 +306,19 @@ def test_graded_dims_triangle():
 
 
 def test_graded_dims_extends_cached_state():
+    holonomy._STATE_CACHE.clear()
     p = presentation(complete_graph(4))
     first = graded_dims(p, 2)
     assert first.quotient_dims == (6, 4)
+    state = holonomy._cokernels(p)
+    assert state.dims == [1, 6, 25]
     extended = graded_dims(p, 4)
     assert extended.quotient_dims == (6, 4, 10, 21)
+    assert state.dims == [1, 6, 25, 90, 301]
+    # an equal presentation made anew extends the same state
+    assert phi_bruteforce(complete_graph(4), 5) == (6, 4, 10, 21, 54)
+    assert list(holonomy._STATE_CACHE.values()) == [state]
+    assert len(state.dims) == 6
 
 
 def test_phi_bruteforce_matches_formula_on_complete_graphs():
@@ -347,6 +357,13 @@ def test_feasibility_entries_cap():
     with pytest.raises(FeasibilityError) as exc:
         phi_bruteforce(complete_graph(4), 3, max_entries=10)
     assert exc.value.entries is not None
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5"])
+def test_feasibility_env_rejects_bad_cap(monkeypatch, value):
+    monkeypatch.setenv("GLCS_MAX_DIM", value)
+    with pytest.raises(ValueError, match="GLCS_MAX_DIM"):
+        phi_bruteforce(complete_graph(3), 3)
 
 
 def test_feasibility_env_override(monkeypatch):
@@ -440,9 +457,10 @@ _CERTIFICATE_CASES = {
         "glcs.holonomy.moebius = lambda d: 1",
         "glcs.witt_dimension(2, 3)",
     ),
-    "lyndon_leading_coefficient": (
-        "glcs.holonomy.bracket_expansion = lambda tree: {}",
-        "glcs.phi_bruteforce(glcs.complete_graph(3), 3)",
+    "nonnegative_peeled_rank": (
+        # an overcounted rank shrinks dim A_2 of K3 from 7 to 5: phi_2 = -1
+        "glcs.holonomy._Echelon.rank = property(lambda self: 2 * len(self.pivots))",
+        "glcs.phi_bruteforce(glcs.complete_graph(3), 2)",
     ),
     "nonnegative_quotient": (
         "glcs.holonomy.witt_dimension = lambda m, k: 0",

@@ -1,9 +1,11 @@
-"""The graph layer and the LCS product agree exactly with their references.
+"""The graph layer, the LCS product and the oracle agree with their references.
 
 The references in reference.py are the direct versions of the same
 routines; lexicographic BFS, the degeneracy order, the chordless-cycle
 witness, triangle completeness, the decomposition tree and the expanded
-LCS product must come out identical, not merely equivalent.
+LCS product must come out identical, not merely equivalent.  The holonomy
+oracle, which works in the enveloping algebra, must give the same graded
+dimensions and kernel-generation reports as the Lyndon-basis oracle.
 """
 
 import random
@@ -16,12 +18,15 @@ from glcs import (
     MismatchError,
     clique_vector,
     decompose,
+    graded_dims,
     graph_from_edges,
     graphic_exponents,
     is_chordal,
     is_triangle_complete,
     phi_from_exponents,
+    presentation,
     split_at_vertex,
+    verify_kernel_generation,
 )
 from glcs.graphs import _chordless_cycle, _degeneracy_order, _lex_bfs
 from glcs.series import expand_lcs_product
@@ -64,7 +69,9 @@ def _seeded_graphs():
 
 
 CLASSES6 = representatives(6)
+CLASSES5 = representatives(5)
 SEEDED = _seeded_graphs()
+CAPS_LIFTED = {"max_dim": 10**9, "max_entries": 10**15}
 
 
 def _check_orders_and_witness(g):
@@ -154,3 +161,40 @@ def test_expand_lcs_product_degree_60_of_a_150_vertex_graph():
     phi = _sparse_phi(60)
     assert max(phi) > 10**15
     assert expand_lcs_product(phi, 60) == reference.expand_lcs_product(phi, 60)
+
+
+def test_graded_dims_matches_reference_on_every_6_vertex_class():
+    for g in CLASSES6:
+        p = presentation(g)
+        assert graded_dims(p, 4, **CAPS_LIFTED) == reference.graded_dims(p, 4)
+
+
+def test_graded_dims_matches_reference_at_degree_5():
+    classes = [g for g in CLASSES5 if g.n_edges <= 8]
+    assert len(classes) == 32
+    for g in classes:
+        p = presentation(g)
+        assert graded_dims(p, 5, **CAPS_LIFTED) == reference.graded_dims(p, 5)
+
+
+@pytest.mark.parametrize(
+    "classes, degree",
+    [
+        pytest.param(CLASSES5, 4, id="5-vertex-degree-4"),
+        pytest.param(CLASSES6, 3, id="6-vertex-degree-3"),
+    ],
+)
+def test_kernel_generation_matches_reference(classes, degree):
+    rng = random.Random(degree)
+    pairs = [
+        (g, sub)
+        for h in classes
+        for g, sub in _subgraph_pairs(h, rng)
+        if is_triangle_complete(g, sub)
+    ]
+    spans = set()
+    for g, sub in pairs:
+        got = verify_kernel_generation(g, sub, degree, **CAPS_LIFTED)
+        assert got == reference.verify_kernel_generation(g, sub, degree)
+        spans.add(got.rows[-1].spanned)
+    assert len(spans) > 5
