@@ -2,6 +2,8 @@
 
 Each follows its definition directly, with no shared search or shortcut, so
 the faster versions in glcs are tested for identical results against them.
+The holonomy oracle at the end is the package's earlier one, in the Lyndon
+basis of the free Lie algebra; it shares only the exact echelon with glcs.
 """
 
 from __future__ import annotations
