@@ -6,15 +6,21 @@ triangle.  The oracle builds the enveloping algebra U(h) = T(V)/(R) degree by
 degree, each graded piece A_k as the cokernel of an exact integer matrix
 R ⊗ A_{k-2} -> V ⊗ A_{k-1}, and reads the Lie ranks off dim A_k through the
 Poincare-Birkhoff-Witt identity sum dim A_k t^k = prod_k (1 - t^k)^(-phi_k).
-No Lie word is ever formed.  No floating point and no modular shortcuts:
-ranks are certified over the rationals.
+Edges that share no triangle commute, so h is the direct product of the
+holonomy algebras of its blocks, the triangle-connected classes of edges:
+each block gets its own cokernels, and the ranks add.  Each degree's rows
+are inserted shortest first, which changes the fill-in along the way but not
+the reduced echelon form.  No Lie word is ever formed.  No floating point and no modular
+shortcuts: ranks are certified over the rationals.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
+from operator import add
 
 from .errors import FeasibilityError, MismatchError
 from .graphs import Graph, is_triangle_complete
@@ -169,11 +175,32 @@ class HolonomyPresentation:
 
     relators are linear combinations of the degree-2 commutators
     [x_i, x_j], each stored as a sorted tuple of ((i, j), coefficient)
-    pairs with i < j generator indices.
+    pairs with generator indices 1 <= i < j <= num_generators and nonzero
+    integer coefficients; anything else raises ValueError.
     """
 
     num_generators: int
     relators: tuple[tuple[tuple[tuple[int, int], int], ...], ...]
+
+    def __post_init__(self):
+        m = self.num_generators
+        if type(m) is not int or m < 0:
+            raise ValueError(f"num_generators must be an integer >= 0, got {m!r}")
+        for rel in self.relators:
+            for term in rel:
+                try:
+                    (i, j), c = term
+                except (TypeError, ValueError):
+                    raise ValueError(f"malformed relator term {term!r}") from None
+                if type(i) is not int or type(j) is not int or not 1 <= i < j <= m:
+                    raise ValueError(
+                        f"relator term {term!r} needs generator indices "
+                        f"1 <= i < j <= {m}"
+                    )
+                if type(c) is not int or not c:
+                    raise ValueError(
+                        f"relator term {term!r} needs a nonzero integer coefficient"
+                    )
 
 
 def presentation(g: Graph) -> HolonomyPresentation:
@@ -242,17 +269,36 @@ class _Cokernels:
         self.top: _Echelon | None = None
 
     def extend(self):
-        """Eliminate the next degree."""
+        """Eliminate the next degree, shortest rows first.
+
+        A row's key is its term count before cancellation, the sum of
+        len mu[k-1](x_b ⊗ g) over its relator's terms; ties keep the
+        (relator, g) order.  The reduced echelon form, and with it the
+        free columns and mu[k], does not depend on the order rows arrive
+        in; short rows first leave less fill-in on the way.  Only one int
+        per row is held, key * rows + row number; each row is built when
+        it is inserted.
+        """
         k = len(self.dims)
         mu = self.normal_form(k - 1)
         width = self.dims[k - 1]
         below = self.dims[k - 2]
+        lens = [len(vec) for _, vec in mu]
+        rows = len(self.terms) * below
+        order = []
+        for r, terms in enumerate(self.terms):
+            keys = [0] * below
+            for _, b, _ in terms:
+                keys = map(add, keys, lens[b * below : (b + 1) * below])
+            first = r * below
+            order.extend(key * rows + first + g for g, key in enumerate(keys))
+        order.sort()
         ech = _Echelon()
-        for terms in self.terms:
-            for g in range(below):
-                ech.insert(
-                    _image([(a, b * below + g, c) for a, b, c in terms], mu, width)
-                )
+        for x in order:
+            r, g = divmod(x % rows, below)
+            ech.insert(
+                _image([(a, b * below + g, c) for a, b, c in self.terms[r]], mu, width)
+            )
         self.dims.append(self.m * width - ech.rank)
         self.top = ech
 
@@ -317,9 +363,59 @@ def _pbw_ranks(dims) -> tuple[int, ...]:
     return tuple(phi)
 
 
-# Cokernels are kept for the few most recently used presentations only:
-# enough for one `glcs verify`, which goes back to g between the seam and
-# the two pieces of each Mayer-Vietoris pivot.
+def _blocks(p: HolonomyPresentation) -> list:
+    """p's direct factors: (letters, presentation on them) per block.
+
+    Letters i < j share a block when [x_i, x_j] on its own is not a
+    relator, or when a relator with more than one term involves both.
+    Every commutator across blocks is then a relator, so h(p) is the
+    direct product of the blocks' algebras and U(h(p)) the tensor product
+    of theirs.  Blocks come in order of their smallest letter, each
+    re-indexed from 1 in increasing order with its relators in p's order;
+    the commutators across blocks are dropped.  For presentation(g) the
+    blocks are the triangle-connected classes of edges.
+    """
+    m = p.num_generators
+    linked = set(combinations(range(1, m + 1), 2))
+    linked -= {rel[0][0] for rel in p.relators if len(rel) == 1}
+    for rel in p.relators:
+        if len(rel) > 1:
+            linked.update((rel[0][0][0], x) for (i, j), _ in rel for x in (i, j))
+    # a union-find: building a Graph for Graph.components would cost more
+    # than the rest of this function
+    root = list(range(m + 1))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for i, j in linked:
+        root[find(i)] = find(j)
+    block_of = [find(a) for a in range(m + 1)]
+    letters: dict[int, list[int]] = {}
+    index = [0] * (m + 1)
+    for a in range(1, m + 1):
+        block = letters.setdefault(block_of[a], [])
+        block.append(a)
+        index[a] = len(block)
+    relators: dict[int, list] = {b: [] for b in letters}
+    for rel in p.relators:
+        if rel and block_of[rel[0][0][0]] == block_of[rel[0][0][1]]:
+            relators[block_of[rel[0][0][0]]].append(
+                tuple(((index[i], index[j]), c) for (i, j), c in rel)
+            )
+    return [
+        (tuple(ls), HolonomyPresentation(len(ls), tuple(relators[b])))
+        for b, ls in letters.items()
+    ]
+
+
+# Cokernels are kept for the few most recently used block presentations
+# only: enough for one `glcs verify`, which goes back to g between the seam
+# and the two pieces of each Mayer-Vietoris pivot, and for the blocks of
+# one graph (equal blocks share an entry, every single letter is (1, ())).
 _STATE_CACHE_SIZE = 4
 _STATE_CACHE: dict[tuple[int, tuple], _Cokernels] = {}
 
@@ -358,6 +454,60 @@ def _resolve_caps(max_dim: int | None, max_entries: int | None) -> tuple[int, in
     return max_dim, max_entries
 
 
+def _block_states(
+    p: HolonomyPresentation, up_to: int, max_dim: int | None, max_entries: int | None
+) -> list:
+    """(letters, cokernels) of each block of p, built to degree up_to.
+
+    The caps are checked at every degree, even when it is already cached,
+    so the outcome does not depend on what earlier calls computed.  The
+    states are held here, so a later call that evicts them from the cache
+    does not cost the caller their echelons.
+    """
+    if up_to < 1:
+        raise ValueError("up_to must be >= 1")
+    max_dim, max_entries = _resolve_caps(max_dim, max_entries)
+    blocks = [(letters, _cokernels(q)) for letters, q in _blocks(p)]
+    for k in range(2, up_to + 1):
+        wd = witt_dimension(p.num_generators, k)
+        if wd > max_dim:
+            raise FeasibilityError(
+                f"free Lie dimension {wd} at degree {k} exceeds the cap "
+                f"{max_dim}; lower the degree or raise GLCS_MAX_DIM",
+                dimension=wd,
+            )
+        if k >= 3:
+            entries = sum(
+                len(s.terms) * s.dims[k - 2] * s.m * s.dims[k - 1]
+                for _, s in blocks
+            )
+            if entries > max_entries:
+                raise FeasibilityError(
+                    f"{entries} matrix entries at degree {k} exceed the "
+                    f"cap {max_entries}; lower the degree",
+                    entries=entries,
+                )
+        for _, state in blocks:
+            if k == len(state.dims):
+                state.extend()
+    return blocks
+
+
+def _peeled_ranks(blocks, up_to: int) -> tuple[int, ...]:
+    """phi_1..phi_up_to of the direct product: the blocks' ranks added."""
+    phi = [0] * up_to
+    for letters, state in blocks:
+        ranks = _pbw_ranks(state.dims[: up_to + 1])
+        free = [witt_dimension(len(letters), k) for k in range(1, up_to + 1)]
+        if any(not 0 <= q <= f for q, f in zip(ranks, free)):
+            raise MismatchError(
+                f"ranks {ranks} read off the enveloping algebra of a block "
+                f"leave the range 0..{free} of the free Lie dimensions"
+            )
+        phi = list(map(add, phi, ranks))
+    return tuple(phi)
+
+
 def graded_dims(
     p: HolonomyPresentation,
     up_to: int,
@@ -368,48 +518,19 @@ def graded_dims(
     """Exact graded dimensions of the holonomy Lie algebra up to a degree.
 
     The enveloping algebra's graded pieces A_k are built as cokernels of
-    exact integer matrices, degree by degree, and the Lie ranks phi_k are
-    read off their dimensions through PBW.  The free dimensions are the
-    Witt dimensions and the ideal dimensions their difference from phi.
-    Work beyond the configured caps (free Lie dimension above max_dim, or
-    more than max_entries entries in the dense degree-k matrix, counted
-    for k >= 3; GLCS_MAX_DIM overrides the former) raises FeasibilityError
-    instead of grinding.  The cokernels of the most recently used
-    presentations are cached and extended on demand.
+    exact integer matrices, degree by degree, one set per block of the
+    presentation, and the Lie ranks phi_k are read off their dimensions
+    through PBW and added over the blocks.  The free dimensions are the
+    Witt dimensions of the whole presentation and the ideal dimensions
+    their difference from phi.  Work beyond the configured caps (free Lie
+    dimension above max_dim, or more than max_entries entries in the dense
+    degree-k matrices, summed over the blocks and counted for k >= 3;
+    GLCS_MAX_DIM overrides the former) raises FeasibilityError instead of
+    grinding.  The cokernels of the most recently used block presentations
+    are cached and extended on demand.
     """
-    if up_to < 1:
-        raise ValueError("up_to must be >= 1")
-    max_dim, max_entries = _resolve_caps(max_dim, max_entries)
-    state = _cokernels(p)
-    m = p.num_generators
-    dims = state.dims
-    free = [witt_dimension(m, k) for k in range(1, up_to + 1)]
-    for k in range(2, up_to + 1):
-        # checked even when the degree is already cached, so the outcome
-        # does not depend on what earlier calls happened to compute
-        wd = free[k - 1]
-        if wd > max_dim:
-            raise FeasibilityError(
-                f"free Lie dimension {wd} at degree {k} exceeds the cap "
-                f"{max_dim}; lower the degree or raise GLCS_MAX_DIM",
-                dimension=wd,
-            )
-        if k >= 3:
-            entries = len(p.relators) * dims[k - 2] * m * dims[k - 1]
-            if entries > max_entries:
-                raise FeasibilityError(
-                    f"{entries} matrix entries at degree {k} exceed the "
-                    f"cap {max_entries}; lower the degree",
-                    entries=entries,
-                )
-        if k == len(dims):
-            state.extend()
-    phi = _pbw_ranks(dims[: up_to + 1])
-    if any(not 0 <= q <= f for q, f in zip(phi, free)):
-        raise MismatchError(
-            f"ranks {phi} read off the enveloping algebra leave the range "
-            f"0..{free} of the free Lie dimensions"
-        )
+    phi = _peeled_ranks(_block_states(p, up_to, max_dim, max_entries), up_to)
+    free = [witt_dimension(p.num_generators, k) for k in range(1, up_to + 1)]
     return GradedDims(
         tuple(free), tuple(f - q for f, q in zip(free, phi)), phi
     )
@@ -528,29 +649,31 @@ def verify_kernel_generation(
     outside = tuple(
         i for i, e in enumerate(g.edges, start=1) if e not in sub_edges
     )
-    max_dim, max_entries = _resolve_caps(max_dim, max_entries)
-    p = presentation(g)
-    phi_g = graded_dims(
-        p, up_to, max_dim=max_dim, max_entries=max_entries
-    ).quotient_dims
-    # g's cokernels are held here: computing sub may evict them from the
-    # cache.  p is the most recent entry, so this lookup evicts nothing.
-    state = _cokernels(p)
+    blocks = _block_states(presentation(g), up_to, max_dim, max_entries)
+    phi_g = _peeled_ranks(blocks, up_to)
     phi_sub = phi_bruteforce(sub, up_to, max_dim=max_dim, max_entries=max_entries)
-    span = [{a - 1: 1} for a in outside]
-    dims = [1, len(span)]
-    for k in range(2, up_to + 1):
-        mu = state.normal_form(k)
-        width = state.dims[k - 1]
-        ech = _Echelon()
-        for a in outside:
-            for vec in span:
-                # the normal form of x_a * vec, in A_k
-                terms = [(0, (a - 1) * width + f, c) for f, c in vec.items()]
-                ech.insert(_image(terms, mu, 0))
-        span = list(ech.pivots.values())
-        dims.append(ech.rank)
-    spanned = _pbw_ranks(dims)
+    # letters of different blocks commute, so the subalgebra the outside
+    # letters generate is the direct sum of the ones generated in each block
+    outside_set = set(outside)
+    spanned = [0] * up_to
+    for letters, state in blocks:
+        mine = [b for b, a in enumerate(letters) if a in outside_set]
+        if not mine:
+            continue
+        span = [{b: 1} for b in mine]
+        dims = [1, len(span)]
+        for k in range(2, up_to + 1):
+            mu = state.normal_form(k)
+            width = state.dims[k - 1]
+            ech = _Echelon()
+            for a in mine:
+                for vec in span:
+                    # the normal form of x_a * vec, in A_k
+                    terms = [(0, a * width + f, c) for f, c in vec.items()]
+                    ech.insert(_image(terms, mu, 0))
+            span = list(ech.pivots.values())
+            dims.append(ech.rank)
+        spanned = list(map(add, spanned, _pbw_ranks(dims)))
     rows = tuple(
         KernelGenerationRow(k, phi_g[k - 1] - phi_sub[k - 1], spanned[k - 1])
         for k in range(1, up_to + 1)

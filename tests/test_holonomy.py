@@ -233,6 +233,28 @@ def test_echelon_rank_matches_fractions(seed):
         assert math.gcd(*prow.values()) == 1
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_echelon_row_order_does_not_matter(seed):
+    # the seeded row sets above, inserted in shuffled orders
+    rng = random.Random(seed)
+    ncols = rng.randint(6, 16)
+    rows = _random_rows(rng, ncols, 50)
+    ech = _Echelon()
+    for row in rows:
+        ech.insert(row)
+    reduced = ech.back_reduced()
+    shuffler = random.Random(1000 + seed)
+    for _ in range(5):
+        shuffled = rows[:]
+        shuffler.shuffle(shuffled)
+        other = _Echelon()
+        for row in shuffled:
+            other.insert(row)
+        assert other.rank == ech.rank
+        assert other.pivots.keys() == ech.pivots.keys()
+        assert other.back_reduced() == reduced
+
+
 def test_echelon_stored_rows_never_change():
     rng = random.Random(11)
     rows = _random_rows(rng, 14, 60)
@@ -278,6 +300,23 @@ def test_presentation_path_commutes():
     # two edges meeting at a vertex with no closing edge commute
     p = presentation(graph_from_edges([(0, 1), (1, 2)]))
     assert p.relators == ((((1, 2), 1),),)
+
+
+@pytest.mark.parametrize(
+    "num_generators, relators",
+    [
+        (2, ((((1, 2), 0),),)),  # a zero coefficient
+        (2, ((((1, 3), 1),),)),  # a letter beyond num_generators
+        (2, ((((0, 1), 1),),)),  # letters count from 1
+        (-1, ()),
+        (3, ((((2, 1), 1),),)),  # i < j
+        (2, ((((1, 2), True),),)),
+        (2, (((1, 2),),)),  # a term without its coefficient
+    ],
+)
+def test_presentation_rejects_malformed(num_generators, relators):
+    with pytest.raises(ValueError):
+        holonomy.HolonomyPresentation(num_generators, relators)
 
 
 def test_third_triangle_bracket_in_span():
@@ -340,6 +379,74 @@ def test_phi_bruteforce_triangle_free():
 def test_phi_bruteforce_example():
     g = parse_graph(EXAMPLE)
     assert phi_bruteforce(g, 3) == (11, 7, 16)
+
+
+def test_graded_dims_without_triangles():
+    free = graded_dims(holonomy.HolonomyPresentation(2, ()), 4)
+    assert free.quotient_dims == (2, 1, 2, 3)
+    assert free.ideal_dims == (0, 0, 0, 0)
+    one = holonomy.HolonomyPresentation(3, ((((1, 2), 1),),))
+    assert graded_dims(one, 4).quotient_dims == (3, 2, 5, 10)
+
+
+def test_blocks_keep_a_relator_with_several_terms_whole():
+    # [x_3, x_4] is a relator on its own, so only the first relator ties
+    # 3 and 4 to the block of 1 and 2; together they make h abelian
+    singles = tuple(
+        (((i, j), 1),) for i, j in ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    )
+    p = holonomy.HolonomyPresentation(4, ((((1, 2), 1), ((3, 4), 1)),) + singles)
+    assert [letters for letters, _ in holonomy._blocks(p)] == [(1, 2, 3, 4)]
+    assert graded_dims(p, 4).quotient_dims == (4, 0, 0, 0)
+
+
+def _k4_triangle_pendant():
+    # K4 on 0..3, a triangle sharing vertex 3, and the pendant edge 0-6,
+    # whose index 4 falls among the K4's edges 1..3 and 5..7
+    return graph_from_edges(
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5),
+         (4, 5), (0, 6)]
+    )
+
+
+def test_blocks_are_triangle_connected_classes():
+    g = _k4_triangle_pendant()
+    blocks = holonomy._blocks(presentation(g))
+    assert [letters for letters, _ in blocks] == [
+        (1, 2, 3, 5, 6, 7), (4,), (8, 9, 10)
+    ]
+    assert [q for _, q in blocks] == [
+        presentation(complete_graph(4)),
+        holonomy.HolonomyPresentation(1, ()),
+        presentation(complete_graph(3)),
+    ]
+    want = phi_from_exponents(graphic_exponents(clique_vector(g)), 5)
+    assert phi_bruteforce(g, 5) == want
+    dims = graded_dims(presentation(g), 5)
+    assert dims.free_dims == tuple(witt_dimension(10, k) for k in range(1, 6))
+    assert dims.ideal_dims == tuple(f - q for f, q in zip(dims.free_dims, want))
+
+
+def test_feasibility_entries_sum_over_blocks():
+    # degree 3: |R| * dim A_1 * m * dim A_2 per block, with dim A_2 =
+    # phi_2 + C(m + 1, 2): 11 * 6 * 6 * 25 for the K4, 2 * 3 * 3 * 7 for
+    # the triangle and nothing for the pendant edge
+    g = _k4_triangle_pendant()
+    entries = 11 * 6 * 6 * 25 + 2 * 3 * 3 * 7
+    with pytest.raises(FeasibilityError) as exc:
+        phi_bruteforce(g, 3, max_entries=entries - 1)
+    assert exc.value.entries == entries
+    assert phi_bruteforce(g, 3, max_entries=entries) == (10, 5, 12)
+
+
+def test_phi_bruteforce_degree5_hot_spot():
+    k5 = complete_graph(5)
+    k5_minus_e = graph_from_edges([e for e in k5.edges if e != (3, 4)])
+    for g in (k5, k5_minus_e):
+        want = phi_from_exponents(graphic_exponents(clique_vector(g)), 5)
+        assert phi_bruteforce(g, 5, max_dim=10**9, max_entries=10**12) == want
+        with pytest.raises(FeasibilityError):
+            phi_bruteforce(g, 5)
 
 
 def test_phi_bruteforce_single_edge():
@@ -439,9 +546,13 @@ def test_kernel_generation_holds_its_own_state(monkeypatch):
 def test_state_cache_is_bounded():
     bound = holonomy._STATE_CACHE_SIZE
     holonomy._STATE_CACHE.clear()
-    for n in range(2, bound + 5):
-        path = graph_from_edges([(i, i + 1) for i in range(n)])
-        assert phi_bruteforce(path, 3) == (n, 0, 0)
+    for n in range(1, bound + 4):
+        # n triangles in a strip: one block, so one cache entry per graph
+        strip = graph_from_edges(
+            [(i, i + 1) for i in range(n + 1)] + [(i, i + 2) for i in range(n)]
+        )
+        want = phi_from_exponents(graphic_exponents(clique_vector(strip)), 3)
+        assert phi_bruteforce(strip, 3) == want
         assert len(holonomy._STATE_CACHE) <= bound
     assert len(holonomy._STATE_CACHE) == bound
     # evicted presentations are recomputed from scratch, exactly
