@@ -2,8 +2,8 @@
 
 Output is deterministic for identical input and flags; JSON payloads are
 schema-stable and render every integer as a decimal string.  Exit codes:
-0 success / all checks pass, 2 parse error, 3 integrality failure,
-4 feasibility refusal, 5 mathematical mismatch between routes.
+0 success / all checks pass, 2 usage, parse or input error, 3 integrality
+failure, 4 feasibility refusal, 5 mathematical mismatch between routes.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     FeasibilityError,
@@ -33,7 +32,7 @@ from .graphs import (
     is_chordal,
     parse_graph,
 )
-from .holonomy import _env_max_dim, phi_bruteforce, verify_mayer_vietoris
+from .holonomy import phi_bruteforce, verify_mayer_vietoris
 from .series import expand_lcs_product, expand_product, phi_from_exponents
 
 EXIT_OK = 0
@@ -46,36 +45,13 @@ _MV_VERTEX_LIMIT = 6
 _MV_MAX_DEGREE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved flags for one invocation."""
-
-    command: str
-    input_path: str = "-"
-    order: int = 10
-    oracle_degree: int = 4
-    format: str = "text"
-    strict_parse: bool = False
-    max_dim: int | None = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if self.oracle_degree < 1:
-            raise ValueError("oracle degree must be >= 1")
-        if self.format not in ("text", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
-def _read_input(cfg: RunConfig) -> str:
-    if cfg.input_path == "-":
-        return sys.stdin.read()
-    with open(cfg.input_path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load_graph(cfg: RunConfig) -> Graph:
-    return parse_graph(_read_input(cfg), strict=cfg.strict_parse)
+def _load_graph(args: argparse.Namespace) -> Graph:
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return parse_graph(text, strict=args.strict)
 
 
 def _s(x: int) -> str:
@@ -105,13 +81,13 @@ def _render_checks(lines: list[str], checks: list[dict]):
 # ---------------------------------------------------------------------------
 # subcommands: each returns (json payload, text lines, exit code)
 
-def cmd_compute(cfg: RunConfig):
-    g = _load_graph(cfg)
+def cmd_compute(args: argparse.Namespace):
+    g = _load_graph(args)
     kappa = clique_vector(g)
     e = graphic_exponents(kappa)
-    u = expand_product(e, cfg.order)
-    phi = phi_from_exponents(e, cfg.order)
-    consistent = expand_lcs_product(phi, cfg.order) == u
+    u = expand_product(e, args.degree)
+    phi = phi_from_exponents(e, args.degree)
+    consistent = expand_lcs_product(phi, args.degree) == u
     checks = [_check("lcs-product-consistency", consistent)]
     payload = {
         "kappa": _ints(kappa),
@@ -132,24 +108,24 @@ def cmd_compute(cfg: RunConfig):
     return payload, lines, code
 
 
-def cmd_verify(cfg: RunConfig):
-    g = _load_graph(cfg)
+def cmd_verify(args: argparse.Namespace):
+    g = _load_graph(args)
     kappa = clique_vector(g)
     e = graphic_exponents(kappa)
-    u = expand_product(e, cfg.order)
-    phi = phi_from_exponents(e, max(cfg.order, cfg.oracle_degree))
-    oracle = phi_bruteforce(g, cfg.oracle_degree, max_dim=cfg.max_dim)
+    u = expand_product(e, args.degree)
+    phi = phi_from_exponents(e, max(args.degree, args.oracle_degree))
+    oracle = phi_bruteforce(g, args.oracle_degree, max_dim=args.max_dim)
     checks = []
     table = []
-    for k in range(1, cfg.oracle_degree + 1):
+    for k in range(1, args.oracle_degree + 1):
         ok = phi[k - 1] == oracle[k - 1]
         checks.append(_check(f"phi-degree-{k}", ok))
         table.append((k, phi[k - 1], oracle[k - 1], ok))
     mv_reports = []
     if g.n_vertices <= _MV_VERTEX_LIMIT:
-        mv_degree = min(cfg.oracle_degree, _MV_MAX_DEGREE)
+        mv_degree = min(args.oracle_degree, _MV_MAX_DEGREE)
         for v in g.vertices:
-            rep = verify_mayer_vietoris(g, v, mv_degree, max_dim=cfg.max_dim)
+            rep = verify_mayer_vietoris(g, v, mv_degree, max_dim=args.max_dim)
             mv_reports.append((v, rep))
             checks.append(_check(f"mayer-vietoris-pivot-{g.label(v)}", rep.ok))
     all_ok = all(c["pass"] for c in checks)
@@ -157,7 +133,7 @@ def cmd_verify(cfg: RunConfig):
         "kappa": _ints(kappa),
         "e": _ints(e),
         "U": _ints(u.coeffs),
-        "phi": _ints(phi[: cfg.order]),
+        "phi": _ints(phi[: args.degree]),
         "phi_oracle": _ints(oracle),
         "checks": checks,
     }
@@ -184,8 +160,8 @@ def cmd_verify(cfg: RunConfig):
     return payload, lines, EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def cmd_classify(cfg: RunConfig):
-    g = _load_graph(cfg)
+def cmd_classify(args: argparse.Namespace):
+    g = _load_graph(args)
     kappa = clique_vector(g)
     chordal, witness = is_chordal(g)
     witness_kind = "elimination-order" if chordal else "chordless-cycle"
@@ -259,14 +235,14 @@ def _tree_json(folded) -> dict:
     return node
 
 
-def cmd_decompose(cfg: RunConfig):
-    g = _load_graph(cfg)
-    folded = _fold(decompose(g), cfg.order)
-    direct = expand_product(graphic_exponents(clique_vector(g)), cfg.order)
+def cmd_decompose(args: argparse.Namespace):
+    g = _load_graph(args)
+    folded = _fold(decompose(g), args.degree)
+    direct = expand_product(graphic_exponents(clique_vector(g)), args.degree)
     ok = folded.u == direct
     checks = [_check("glued-equals-direct", ok)]
     # the tree is rendered only in the format that is printed
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "tree": _tree_json(folded),
             "U": _ints(folded.u.coeffs),
@@ -281,8 +257,8 @@ def cmd_decompose(cfg: RunConfig):
     return {}, lines, EXIT_OK if ok else EXIT_MISMATCH
 
 
-def cmd_chromatic(cfg: RunConfig):
-    g = _load_graph(cfg)
+def cmd_chromatic(args: argparse.Namespace):
+    g = _load_graph(args)
     kappa = clique_vector(g)
     chi = chromatic_polynomial(g)
     chordal, _ = is_chordal(g)
@@ -354,42 +330,30 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=helps[name])
         sp.add_argument("--input", default="-", metavar="PATH",
                         help="edge-list file, or - for stdin (default)")
-        sp.add_argument("--degree", type=_positive_int, default=10, metavar="N",
-                        help="series truncation order (default 10)")
+        if name in ("compute", "verify", "decompose"):
+            sp.add_argument("--degree", type=_positive_int, default=10,
+                            metavar="N",
+                            help="series truncation order (default 10)")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--strict", action="store_true",
                         help="reject duplicate edges instead of deduplicating")
-        sp.add_argument("--oracle-degree", type=_positive_int, default=4,
-                        metavar="D", help="brute-force degree (default 4)")
-        sp.add_argument("--max-dim", type=_positive_int, default=None,
-                        metavar="CAP",
-                        help="free Lie dimension cap for the brute force "
-                             "(default 200000; GLCS_MAX_DIM also overrides)")
+        if name == "verify":
+            sp.add_argument("--oracle-degree", type=_positive_int, default=4,
+                            metavar="D", help="brute-force degree (default 4)")
+            sp.add_argument("--max-dim", type=_positive_int, default=None,
+                            metavar="CAP",
+                            help="cap on the free Lie dimension of the "
+                                 "brute force, summed over its blocks "
+                                 "(default 200000)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    max_dim = args.max_dim
-    if max_dim is None and args.command == "verify":
-        # read here, so that a bad value is a usage error like --max-dim 0
-        try:
-            max_dim = _env_max_dim()
-        except ValueError as exc:
-            parser.error(str(exc))
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        order=args.degree,
-        oracle_degree=args.oracle_degree,
-        format=args.format,
-        strict_parse=args.strict,
-        max_dim=max_dim,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        payload, lines, code = _COMMANDS[cfg.command](cfg)
-    except ParseError as exc:
+        payload, lines, code = _COMMANDS[args.command](args)
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
+        # malformed, unreadable or undecodable input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except IntegralityError as exc:
@@ -401,10 +365,7 @@ def main(argv=None) -> int:
     except MismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(lines))

@@ -132,6 +132,32 @@ def test_rejects_degree_zero(example_file, capsys):
         cli.main(["compute", "--input", example_file, "--degree", "0"])
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--degree") for c in ("classify", "chromatic")]
+    + [
+        (c, f)
+        for c in ("classify", "chromatic", "compute", "decompose")
+        for f in ("--oracle-degree", "--max-dim")
+    ],
+)
+def test_rejects_flag_the_command_does_not_read(example_file, command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--input", example_file, flag, "3"])
+    assert exc.value.code == cli.EXIT_PARSE == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_undecodable_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.edges"
+    path.write_bytes(b"a b\n\xff c\n")
+    code, out, err = run_cli(["compute", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -181,24 +207,16 @@ def test_verify_max_dim_flag(k3_file, capsys):
         ["verify", "--input", k3_file, "--max-dim", "2"], capsys
     )
     assert code == 4
-    assert "GLCS_MAX_DIM" in err
+    assert "raise max_dim (--max-dim)" in err
 
 
-def test_verify_env_cap(k3_file, capsys, monkeypatch):
-    monkeypatch.setenv("GLCS_MAX_DIM", "2")
-    code, _, _ = run_cli(["verify", "--input", k3_file], capsys)
-    assert code == 4
-
-
-@pytest.mark.parametrize("value", ["abc", "-5"])
-def test_verify_env_cap_rejects_bad_value(k3_file, capsys, monkeypatch, value):
+@pytest.mark.parametrize("value", ["2", "abc", "-5"])
+def test_verify_ignores_env_cap(k3_file, capsys, monkeypatch, value):
+    # the cap is set by --max-dim alone; the environment changes nothing
+    plain = run_cli(["verify", "--input", k3_file], capsys)
     monkeypatch.setenv("GLCS_MAX_DIM", value)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--input", k3_file])
-    assert exc.value.code == cli.EXIT_PARSE == 2
-    err = capsys.readouterr().err
-    assert "GLCS_MAX_DIM" in err
-    assert "Traceback" not in err
+    assert run_cli(["verify", "--input", k3_file], capsys) == plain
+    assert plain[0] == 0
 
 
 def test_verify_mismatch_exit_5(k3_file, capsys, monkeypatch):

@@ -17,11 +17,14 @@ import pytest
 import glcs
 from glcs import (
     FeasibilityError,
+    TruncatedSeries,
     complete_graph,
     clique_vector,
+    expand_product,
     graded_dims,
     graph_from_edges,
     graphic_exponents,
+    one,
     parse_graph,
     phi_bruteforce,
     phi_from_exponents,
@@ -32,6 +35,7 @@ from glcs import (
 )
 from glcs import holonomy
 from glcs.holonomy import _Echelon
+from iso import representatives
 from reference import (
     bracket_expansion,
     is_lyndon,
@@ -457,7 +461,25 @@ def test_feasibility_dimension_cap():
     with pytest.raises(FeasibilityError) as exc:
         phi_bruteforce(complete_graph(3), 3, max_dim=5)
     assert exc.value.dimension == 8
-    assert "GLCS_MAX_DIM" in str(exc.value)
+    assert "raise max_dim (--max-dim)" in str(exc.value)
+    assert phi_bruteforce(complete_graph(3), 3, max_dim=100) == (3, 1, 2)
+
+
+def test_feasibility_dimension_sums_over_blocks():
+    # degree 2: W(6, 2) + W(1, 2) + W(3, 2) = 15 + 0 + 3 for the K4, the
+    # pendant edge and the triangle, not W(10, 2) = 45 for all ten edges
+    g = _k4_triangle_pendant()
+    with pytest.raises(FeasibilityError) as exc:
+        phi_bruteforce(g, 2, max_dim=17)
+    assert exc.value.dimension == 18
+    assert phi_bruteforce(g, 2, max_dim=18) == (10, 5)
+
+
+def test_long_cycle_passes_the_default_caps():
+    # thirty one-letter blocks: W(30, 4) = 202275 is past the default cap,
+    # but no block has a bracket to compute
+    cycle = graph_from_edges([(i, (i + 1) % 30) for i in range(30)])
+    assert phi_bruteforce(cycle, 4) == (30, 0, 0, 0)
 
 
 def test_feasibility_entries_cap():
@@ -466,19 +488,29 @@ def test_feasibility_entries_cap():
     assert exc.value.entries is not None
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5"])
-def test_feasibility_env_rejects_bad_cap(monkeypatch, value):
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5", "5"])
+def test_phi_bruteforce_ignores_env_cap(monkeypatch, value):
+    # the cap is set by max_dim alone; the environment changes nothing
     monkeypatch.setenv("GLCS_MAX_DIM", value)
-    with pytest.raises(ValueError, match="GLCS_MAX_DIM"):
-        phi_bruteforce(complete_graph(3), 3)
+    assert phi_bruteforce(complete_graph(3), 3) == (3, 1, 2)
+    with pytest.raises(FeasibilityError) as exc:
+        phi_bruteforce(complete_graph(3), 3, max_dim=5)
+    assert exc.value.dimension == 8
 
 
-def test_feasibility_env_override(monkeypatch):
-    monkeypatch.setenv("GLCS_MAX_DIM", "5")
-    with pytest.raises(FeasibilityError):
-        phi_bruteforce(complete_graph(3), 3)
-    # explicit argument wins over the environment
-    assert phi_bruteforce(complete_graph(3), 3, max_dim=100) == (3, 1, 2)
+def test_enveloping_series_times_u_is_one():
+    # H_A * U = 1: H_A = sum dim A_k t^k is the product of the blocks'
+    # series (U(h) is their tensor product), and U the formula's product;
+    # no PBW peel and no Moebius inversion on either side
+    lifted = {"max_dim": 10**9, "max_entries": 10**15}
+    for n, k in ((6, 4), (5, 5)):
+        for g in representatives(n):
+            blocks = holonomy._block_states(presentation(g), k, **lifted)
+            h = one(k)
+            for _, state in blocks:
+                h = h * TruncatedSeries(k, tuple(state.dims[: k + 1]))
+            u = expand_product(graphic_exponents(clique_vector(g)), k)
+            assert h * u == one(k), (n, g.edges)
 
 
 # ---------------------------------------------------------------------------
