@@ -350,21 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    exits = {
+        # malformed, unreadable or undecodable input
+        ParseError: EXIT_PARSE,
+        OSError: EXIT_PARSE,
+        UnicodeDecodeError: EXIT_PARSE,
+        IntegralityError: EXIT_INTEGRALITY,
+        FeasibilityError: EXIT_FEASIBILITY,
+        MismatchError: EXIT_MISMATCH,
+    }
     try:
         payload, lines, code = _COMMANDS[args.command](args)
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
-        # malformed, unreadable or undecodable input
+    except tuple(exits) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except IntegralityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRALITY
-    except FeasibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FEASIBILITY
-    except MismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return next(c for t, c in exits.items() if isinstance(exc, t))
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -217,9 +218,13 @@ def to_edge_list(g: Graph) -> str:
 
     Every vertex is declared with a "v" line in id order before the edges,
     so parsing the output reproduces the same ids, edge indices, and labels.
+    An edge at a vertex labelled "v" is written with "v" second, since a
+    line starting with "v" declares a vertex.
     """
     lines = [f"v {g.label(v)}" for v in g.vertices]
-    lines += [f"{g.label(u)} {g.label(v)}" for u, v in g.edges]
+    for u, v in g.edges:
+        a, b = g.label(u), g.label(v)
+        lines.append(f"{b} {a}" if a == "v" else f"{a} {b}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -234,7 +239,7 @@ def clique_vector(g: Graph) -> tuple[int, ...]:
     keeping at least the vertex count.  Exact enumeration over a degeneracy
     order: each clique is counted once, at its order-minimal vertex.
     """
-    order = _degeneracy_order(g)
+    order = _peel(g, g.degree)
     pos = {v: i for i, v in enumerate(order)}
     later = {
         v: frozenset(w for w in g.neighbors(v) if pos[w] > pos[v])
@@ -255,27 +260,29 @@ def clique_vector(g: Graph) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _degeneracy_order(g: Graph) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex (ties: smallest id).
+def _peel(g: Graph, start: Callable[[int], int]) -> Iterator[int]:
+    """Yield the vertex of least key (ties: smallest id) again and again.
 
-    A lazy heap of (degree, id) entries.  Degrees only fall, so a vertex's
-    current entry surfaces before its older ones, which are skipped.
+    Vertex v's key starts at start(v), and taking v lowers the key of each
+    untaken neighbour by one.  So starting at g.degree gives the degeneracy
+    order (minimum degree in what is left), and starting at 0 everywhere
+    gives maximum cardinality search (most taken neighbours).  A lazy heap
+    of (key, id) entries: keys only fall, so a vertex's current entry
+    surfaces before its older ones, which are skipped.
     """
-    deg = {v: g.degree(v) for v in g.vertices}
-    heap = [(d, v) for v, d in deg.items()]
+    key = {v: start(v) for v in g.vertices}
+    heap = [(k, v) for v, k in key.items()]
     heapq.heapify(heap)
-    order = []
     while heap:
         _, v = heapq.heappop(heap)
-        if v not in deg:
+        if v not in key:
             continue
-        del deg[v]
-        order.append(v)
+        del key[v]
+        yield v
         for w in g.neighbors(v):
-            if w in deg:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return order
+            if w in key:
+                key[w] -= 1
+                heapq.heappush(heap, (key[w], w))
 
 
 # ---------------------------------------------------------------------------
@@ -287,77 +294,19 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
     Returns (True, elimination_order) where the order is a perfect
     elimination order, or (False, cycle) with an induced cycle of length
     >= 4 listed in cyclic order: a shortest one, the first found in vertex
-    order.  The candidate order comes from a lexicographic BFS, and both
-    answers are verified before they are returned, so neither depends on
-    the searches having been implemented correctly.
+    order.  The candidate order is a maximum cardinality search reversed,
+    which is a perfect elimination order exactly when g is chordal (Tarjan
+    & Yannakakis 1984).  Both answers are verified before they are
+    returned, so neither depends on the searches having been implemented
+    correctly.
     """
-    elim = list(reversed(_lex_bfs(g)))
+    elim = list(_peel(g, lambda v: 0))[::-1]
     if _verify_elimination_order(g, elim):
         return True, elim
     cycle = _chordless_cycle(g)
     if not _is_induced_cycle(g, cycle):
         raise MismatchError(f"chordless-cycle witness {cycle} is not an induced cycle")
     return False, cycle
-
-
-class _Cell:
-    """One LexBFS class: unvisited vertices sharing a label, ids ascending.
-
-    Vertices that have left the class stay in `members` and are skipped
-    when they reach `head`; `size` counts the ones still in it.
-    """
-
-    __slots__ = ("members", "head", "size", "prev", "next")
-
-    def __init__(self, members: list[int], nxt: "_Cell | None" = None):
-        self.members = members
-        self.head = 0
-        self.size = len(members)
-        self.prev: _Cell | None = None
-        self.next = nxt
-
-
-def _lex_bfs(g: Graph) -> list[int]:
-    """Lexicographic BFS order; among equal labels the smallest id goes first.
-
-    Partition refinement (Rose, Tarjan & Lueker 1976): the unvisited
-    vertices form classes of equal label, highest label first.  Visiting v
-    moves each unvisited neighbour into a new class just before its own.
-    """
-    first: _Cell | None = _Cell(list(g.vertices))
-    cell = dict.fromkeys(g.vertices, first)
-    out = []
-    while first is not None:
-        if first.size == 0:
-            first = first.next
-            if first is not None:
-                first.prev = None
-            continue
-        while cell.get(first.members[first.head]) is not first:
-            first.head += 1
-        v = first.members[first.head]
-        first.size -= 1
-        del cell[v]
-        out.append(v)
-        split: dict[_Cell, _Cell] = {}
-        for w in sorted(g.neighbors(v)):
-            old = cell.get(w)
-            if old is None:
-                continue
-            new = split.get(old)
-            if new is None:
-                new = split[old] = _Cell([], old)
-                new.prev = old.prev
-                if old.prev is None:
-                    first = new
-                else:
-                    old.prev.next = new
-                old.prev = new
-            new.members.append(w)
-            new.size += 1
-            old.size -= 1
-            cell[w] = new
-    return out
 
 
 def _verify_elimination_order(g: Graph, elim: list[int]) -> bool:
@@ -513,7 +462,8 @@ DecompositionTree = Leaf | Node
 def decompose(g: Graph) -> DecompositionTree:
     """Split at a minimum-degree vertex until every leaf is complete.
 
-    Pivot choice: minimum degree, ties broken by smallest id.  In any
+    Pivot choice: minimum degree, ties broken by smallest id, so the
+    pivots of the left chain are the degeneracy order of g.  In any
     non-complete graph such a vertex's closed neighborhood is proper, so
     both split pieces are strictly smaller and the splitting terminates.
     The left chain (g minus pivot, again and again) is built in a loop, so
@@ -521,8 +471,9 @@ def decompose(g: Graph) -> DecompositionTree:
     decomposed recursively, to a depth of at most the degree plus one.
     """
     chain = []
+    pivots = _peel(g, g.degree)
     while not g.is_complete():
-        pivot = min(g.vertices, key=lambda v: (g.degree(v), v))
+        pivot = next(pivots)
         g1, g2, seam = split_at_vertex(g, pivot)
         chain.append((g, pivot, decompose(g2), seam))
         g = g1

@@ -27,13 +27,15 @@ __all__ = [
 class TruncatedSeries:
     """Integer power series modulo t^(order+1).
 
-    coeffs has length order + 1, constant term first.
+    coeffs has length order + 1, constant term first; any sequence is
+    stored as a tuple.
     """
 
     order: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if self.order < 0:
             raise ValueError("order must be >= 0")
         if len(self.coeffs) != self.order + 1:

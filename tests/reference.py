@@ -41,18 +41,18 @@ def degeneracy_order(g: Graph) -> list[int]:
     return order
 
 
-def lex_bfs(g: Graph) -> list[int]:
-    """Pick the largest label, ties by smallest id; labels are visit steps."""
-    labels: dict[int, list[int]] = {v: [] for v in g.vertices}
+def max_cardinality_search(g: Graph) -> list[int]:
+    """Pick the vertex with the most visited neighbours, ties by smallest id."""
+    visited_nbrs = {v: 0 for v in g.vertices}
     unvisited = set(g.vertices)
     out = []
-    for step in range(g.n_vertices, 0, -1):
-        v = max(unvisited, key=lambda x: (labels[x], -x))
+    while unvisited:
+        v = max(unvisited, key=lambda x: (visited_nbrs[x], -x))
         unvisited.discard(v)
         out.append(v)
         for w in g.neighbors(v):
             if w in unvisited:
-                labels[w].append(step)
+                visited_nbrs[w] += 1
     return out
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: schemas, determinism, exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import glcs
 from glcs import cli
+from iso import representatives
 
 EXAMPLE = (
     "v1 v2\nv2 v3\nv3 v4\nv4 v1\n"
@@ -270,6 +272,31 @@ def test_classify_json(example_file, capsys):
     assert payload["decomposable"] is False
     assert payload["witness_kind"] == "chordless-cycle"
     assert payload["witness"] == ["v1", "v2", "v3", "v4"]
+
+
+def test_classify_witness_is_perfect_elimination_order(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    chordal_classes = 0
+    for n in range(1, 7):
+        for g in representatives(n):
+            path.write_text(glcs.to_edge_list(g))
+            code, out, _ = run_cli(
+                ["classify", "--input", str(path), "--format", "json"], capsys
+            )
+            assert code == 0
+            payload = json.loads(out)
+            if not payload["chordal"]:
+                continue
+            chordal_classes += 1
+            assert payload["witness_kind"] == "elimination-order"
+            order = [int(label) for label in payload["witness"]]
+            assert sorted(order) == list(g.vertices)
+            # each vertex's neighbours later in the order form a clique
+            for i, v in enumerate(order):
+                later = [w for w in order[i + 1:] if g.has_edge(v, w)]
+                for a, b in itertools.combinations(later, 2):
+                    assert g.has_edge(a, b), (g.edges, order)
+    assert chordal_classes == 1 + 2 + 4 + 10 + 27 + 94  # OEIS A048192
 
 
 # ---------------------------------------------------------------------------

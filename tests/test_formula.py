@@ -63,6 +63,8 @@ def test_intpolynomial_arithmetic():
     assert (p ** 3).coeffs == (1, 3, 3, 1)
     assert p(4) == 5
     assert (p * q)(3) == 8
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
 
 
 def test_intpolynomial_str():
@@ -243,10 +245,12 @@ def test_chordal_chromatic_rejects_negative_exponents():
 
 def test_glue_series_requirements():
     u = expand_product((1, 1), 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="orders differ"):
         glue_series(u, u, expand_product((1,), 4))
+    with pytest.raises(ValueError, match="orders differ"):
+        glue_series(expand_product((1,), 4), u, u)
     bad_seam = u - one(5)  # constant term 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="constant term 1"):
         glue_series(u, u, bad_seam)
 
 

@@ -118,6 +118,20 @@ def test_round_trip_isolated():
     assert parse_graph(to_edge_list(g)) == g
 
 
+def test_round_trip_vertex_labelled_v():
+    # an edge "v c" would read back as a declaration of the vertex c
+    g = parse_graph("b v\nc v\n")
+    assert g.n_edges == 2
+    assert parse_graph(to_edge_list(g)) == g
+    for g in representatives(6):
+        for i in g.vertices:
+            labels = tuple("v" if j == i else f"x{j}" for j in g.vertices)
+            h = Graph(g.vertices, g.edges, labels)
+            again = parse_graph(to_edge_list(h))
+            assert again == h
+            assert again.labels == labels
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph((0, 1), ((1, 0),))

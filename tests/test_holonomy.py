@@ -617,6 +617,17 @@ _CERTIFICATE_CASES = {
         "glcs.graphs._chordless_cycle = lambda g: [0, 1, 2]",
         "glcs.is_chordal(glcs.graph_from_edges([(0, 1), (1, 2), (2, 3), (0, 3)]))",
     ),
+    "split_vertex_count": (
+        # g1 = g makes the pieces one vertex too many
+        "glcs.Graph.induced = lambda self, keep: self",
+        "glcs.split_at_vertex(glcs.complete_graph(3), 0)",
+    ),
+    "nonnegative_betti": (
+        # t + t^2 on two vertices gives b_1 = -1
+        "glcs.formula.chromatic_polynomial = "
+        "lambda g: glcs.IntPolynomial((0, 1, 1))",
+        "glcs.poincare_polynomial(glcs.complete_graph(2))",
+    ),
     "chordless_cycle_found": (
         "glcs.graphs._verify_elimination_order = lambda g, elim: False",
         "glcs.is_chordal(glcs.complete_graph(4))",

@@ -1,11 +1,12 @@
 """The graph layer, the LCS product and the oracle agree with their references.
 
 The references in reference.py are the direct versions of the same
-routines; lexicographic BFS, the degeneracy order, the chordless-cycle
-witness, triangle completeness, the decomposition tree and the expanded
-LCS product must come out identical, not merely equivalent.  The holonomy
-oracle, which works in the enveloping algebra, must give the same graded
-dimensions and kernel-generation reports as the Lyndon-basis oracle.
+routines; maximum cardinality search, the degeneracy order, the
+chordless-cycle witness, triangle completeness, the decomposition tree and
+the expanded LCS product must come out identical, not merely equivalent.
+The holonomy oracle, which works in the enveloping algebra, must give the
+same graded dimensions and kernel-generation reports as the Lyndon-basis
+oracle.
 """
 
 import random
@@ -28,7 +29,7 @@ from glcs import (
     split_at_vertex,
     verify_kernel_generation,
 )
-from glcs.graphs import _chordless_cycle, _degeneracy_order, _lex_bfs
+from glcs.graphs import _chordless_cycle, _peel
 from glcs.series import expand_lcs_product
 from iso import representatives
 
@@ -75,8 +76,10 @@ CAPS_LIFTED = {"max_dim": 10**9, "max_entries": 10**15}
 
 
 def _check_orders_and_witness(g):
-    assert _lex_bfs(g) == reference.lex_bfs(g)
-    assert _degeneracy_order(g) == reference.degeneracy_order(g)
+    mcs = list(_peel(g, lambda v: 0))
+    assert mcs == reference.max_cardinality_search(g)
+    degeneracy = list(_peel(g, g.degree))
+    assert degeneracy == reference.degeneracy_order(g)
     expected = reference.chordless_cycle(g)
     chordal, witness = is_chordal(g)
     if chordal:

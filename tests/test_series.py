@@ -21,6 +21,13 @@ def test_construction_validates():
         TruncatedSeries(-1, ())
 
 
+def test_coefficients_stored_as_tuple():
+    s = TruncatedSeries(1, [1, 0])
+    assert s.coeffs == (1, 0)
+    assert s == one(1)
+    assert hash(s) == hash(one(1))
+
+
 def test_arithmetic_basics():
     a = TruncatedSeries(3, (1, 2, 3, 4))
     b = TruncatedSeries(3, (1, -1, 0, 2))
