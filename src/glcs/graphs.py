@@ -8,7 +8,6 @@ operations keep the parent's ids, so labels stay valid across splits.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -219,8 +218,19 @@ def to_edge_list(g: Graph) -> str:
     Every vertex is declared with a "v" line in id order before the edges,
     so parsing the output reproduces the same ids, edge indices, and labels.
     An edge at a vertex labelled "v" is written with "v" second, since a
-    line starting with "v" declares a vertex.
+    line starting with "v" declares a vertex.  A label that is empty, holds
+    whitespace or '#', or repeats another vertex's label would not read
+    back, so it raises ValueError.
     """
+    seen: set[str] = set()
+    for v in g.vertices:
+        label = g.label(v)
+        if "#" in label or label.split() != [label] or label in seen:
+            raise ValueError(
+                f"vertex {v}: label {label!r} is empty, holds whitespace or '#', "
+                "or repeats another vertex's label"
+            )
+        seen.add(label)
     lines = [f"v {g.label(v)}" for v in g.vertices]
     for u, v in g.edges:
         a, b = g.label(u), g.label(v)
@@ -293,91 +303,87 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
 
     Returns (True, elimination_order) where the order is a perfect
     elimination order, or (False, cycle) with an induced cycle of length
-    >= 4 listed in cyclic order: a shortest one, the first found in vertex
-    order.  The candidate order is a maximum cardinality search reversed,
-    which is a perfect elimination order exactly when g is chordal (Tarjan
-    & Yannakakis 1984).  Both answers are verified before they are
-    returned, so neither depends on the searches having been implemented
-    correctly.
+    >= 4 listed in cyclic order.  The candidate order is a maximum
+    cardinality search reversed, which is a perfect elimination order
+    exactly when g is chordal (Tarjan & Yannakakis 1984).  When it is not,
+    the cycle passes through the first fault the elimination check finds;
+    it need not be a shortest one.  Both answers are verified before they
+    are returned, so neither depends on the searches having been
+    implemented correctly.
     """
     elim = list(_peel(g, lambda v: 0))[::-1]
-    if _verify_elimination_order(g, elim):
+    fault = _verify_elimination_order(g, elim)
+    if fault is None:
         return True, elim
-    cycle = _chordless_cycle(g)
+    cycle = _chordless_cycle(g, elim, fault)
     if not _is_induced_cycle(g, cycle):
         raise MismatchError(f"chordless-cycle witness {cycle} is not an induced cycle")
     return False, cycle
 
 
-def _verify_elimination_order(g: Graph, elim: list[int]) -> bool:
+def _verify_elimination_order(g: Graph, elim: list[int]) -> tuple[int, int, int] | None:
+    """The first fault of elim as a perfect elimination order, or None.
+
+    Each vertex v with later neighbours needs them all adjacent to u, the
+    first of them in the order; that suffices for every later neighbourhood
+    to be a clique.  The fault is (v, u, w) for the first v where this
+    fails, with w the smallest-id later neighbour of v not adjacent to u.
+    """
     pos = {v: i for i, v in enumerate(elim)}
     for v in elim:
         later = [w for w in g.neighbors(v) if pos[w] > pos[v]]
         if not later:
             continue
-        u = min(later, key=lambda w: pos[w])
-        rest = set(later) - {u}
-        if not rest <= g.neighbors(u):
-            return False
-    return True
+        u = min(later, key=pos.__getitem__)
+        missing = set(later) - g.neighbors(u) - {u}
+        if missing:
+            return v, u, min(missing)
+    return None
 
 
-def _chordless_cycle(g: Graph) -> list[int]:
-    """Find a shortest induced cycle of length >= 4 in a non-chordal graph.
+def _chordless_cycle(
+    g: Graph, elim: list[int], fault: tuple[int, int, int]
+) -> list[int]:
+    """Close the fault (v, u, w) of elim into an induced cycle v, u, ..., w.
 
-    For each vertex v and non-adjacent neighbors u < w, a shortest u-w path
-    avoiding the rest of N[v] closes to an induced cycle through v.  One
-    BFS from u finds that path for every w at once: v's other neighbors
-    are discovered but never expanded.  Candidates are taken in the order
-    (v, u, w), ids ascending, and paths expand neighbors in ascending
-    order; a later candidate replaces the best only if strictly shorter,
-    so no BFS needs to go deeper than the best cycle so far.
+    u and w are neighbours of v and not adjacent to each other, so a
+    shortest u-w path through vertices after v outside N(v) closes an
+    induced cycle through v.  One BFS from u, neighbours in ascending id,
+    finds it; that such a path exists when elim is a reversed maximum
+    cardinality search is checked, not assumed.
     """
-    nbrs = {x: sorted(g.neighbors(x)) for x in g.vertices}
-    best: list[int] | None = None
-    for v in g.vertices:
-        around = g.neighbors(v)
-        for u in nbrs[v]:
-            # an endpoint w at depth d closes a cycle on d + 2 vertices
-            limit = len(best) - 3 if best else g.n_vertices
-            prev: dict[int, int] = {u: u}
-            frontier = [u]
-            ends: list[int] = []
-            depth = 0
-            while frontier and not ends and depth < limit:
-                depth += 1
-                nxt = []
-                for x in frontier:
-                    for y in nbrs[x]:
-                        if y == v or y in prev:
-                            continue
-                        prev[y] = x
-                        if y not in around:
-                            nxt.append(y)
-                        elif y > u and not g.has_edge(u, y):
-                            ends.append(y)
-                frontier = nxt
-            if ends:
-                path = [min(ends)]
-                while path[-1] != u:
-                    path.append(prev[path[-1]])
-                best = [v] + path[::-1]
-                if len(best) == 4:
-                    return best
-    if best is None:
+    v, u, w = fault
+    inside = (set(elim[elim.index(v) + 1:]) - g.neighbors(v)) | {w}
+    prev = {u: u}
+    frontier = [u]
+    while frontier and w not in prev:
+        nxt = []
+        for x in frontier:
+            for y in sorted(g.neighbors(x)):
+                if y in inside and y not in prev:
+                    prev[y] = x
+                    nxt.append(y)
+        frontier = nxt
+    if w not in prev:
         raise MismatchError("no chordless cycle in a non-chordal graph")
-    return best
+    path = [w]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return [v] + path[::-1]
 
 
 def _is_induced_cycle(g: Graph, cycle: list[int]) -> bool:
-    """Whether cycle lists, in cyclic order, an induced cycle of g on >= 4 vertices."""
-    n = len(cycle)
-    if n < 4 or len(set(cycle)) != n or not set(cycle) <= set(g.vertices):
-        return False
-    for i, j in itertools.combinations(range(n), 2):
-        if g.has_edge(cycle[i], cycle[j]) != (j - i in (1, n - 1)):
-            return False
-    return True
+    """Whether cycle lists, in cyclic order, an induced cycle of g on >= 4 vertices.
+
+    Consecutive vertices are adjacent, so each has at least two neighbours
+    on the cycle; exactly two for every vertex means there is no chord.
+    """
+    on = set(cycle)
+    return (
+        len(on) == len(cycle) >= 4
+        and all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        and all(len(g.neighbors(x) & on) == 2 for x in cycle)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -407,27 +413,17 @@ def is_triangle_complete(g: Graph, k: Graph) -> bool:
 def split_at_vertex(g: Graph, v: int) -> tuple[Graph, Graph, Graph]:
     """Split g at vertex v into (g1, g2, seam).
 
-    g1 is g minus v.  The seam is the subgraph of g1 induced on the
-    neighborhood of v, restricted to edges whose endpoints both neighbor v.
-    g2 is the star of v together with the seam, on the closed neighborhood.
-    All four containments (seam in g1, seam in g2, g1 in g, g2 in g) are
+    g1 is g minus v, g2 the subgraph induced on the closed neighborhood
+    N[v], and the seam the subgraph induced on the neighborhood N(v).  All
+    four containments (seam in g1, seam in g2, g1 in g, g2 in g) are
     triangle-complete; vertex counts satisfy |g| + |seam| = |g1| + |g2|.
     """
     if v not in g._adjacency:
         raise ValueError(f"vertex {v} not in graph")
     nv = g.neighbors(v)
     g1 = g.induced(set(g.vertices) - {v})
-    seam = Graph(
-        tuple(sorted(nv)),
-        tuple(e for e in g1.edges if e[0] in nv and e[1] in nv),
-        g.labels,
-    )
-    star = [(min(u, v), max(u, v)) for u in nv]
-    g2 = Graph(
-        tuple(sorted(nv | {v})),
-        tuple(sorted(set(star) | set(seam.edges))),
-        g.labels,
-    )
+    g2 = g.induced(nv | {v})
+    seam = g2.induced(nv)
     for big, small, name in (
         (g1, seam, "seam in g1"),
         (g2, seam, "seam in g2"),

@@ -73,6 +73,27 @@ def chordless_cycle(g: Graph) -> list[int] | None:
     return best
 
 
+def elimination_witness(g: Graph) -> list[int] | None:
+    """The induced cycle through the first fault of reversed maximum cardinality search.
+
+    Scan the order for the first v whose later neighbours are not all
+    adjacent to u, the first of them; w is the smallest such neighbour not
+    adjacent to u.  A shortest u-w path that avoids v, the vertices before
+    it and its other neighbours closes the cycle.
+    """
+    elim = max_cardinality_search(g)[::-1]
+    for i, v in enumerate(elim):
+        later = [x for x in elim[i + 1:] if g.has_edge(v, x)]
+        missing = [x for x in later[1:] if not g.has_edge(later[0], x)]
+        if missing:
+            u, w = later[0], min(missing)
+            blocked = set(elim[:i + 1]) | (g.neighbors(v) - {u, w})
+            path = _shortest_path(g, u, w, blocked)
+            assert path is not None, f"no path closes the fault at {v}"
+            return [v] + path
+    return None
+
+
 def _shortest_path(g: Graph, src: int, dst: int, blocked) -> list[int] | None:
     prev: dict[int, int | None] = {src: None}
     frontier = [src]

@@ -271,7 +271,9 @@ def test_classify_json(example_file, capsys):
     assert payload["supersolvable"] is False
     assert payload["decomposable"] is False
     assert payload["witness_kind"] == "chordless-cycle"
-    assert payload["witness"] == ["v1", "v2", "v3", "v4"]
+    # the first fault of the elimination check is at v4: its later
+    # neighbour v1 is not adjacent to v3, the first one
+    assert payload["witness"] == ["v4", "v3", "v2", "v1"]
 
 
 def test_classify_witness_is_perfect_elimination_order(tmp_path, capsys):
@@ -297,6 +299,31 @@ def test_classify_witness_is_perfect_elimination_order(tmp_path, capsys):
                 for a, b in itertools.combinations(later, 2):
                     assert g.has_edge(a, b), (g.edges, order)
     assert chordal_classes == 1 + 2 + 4 + 10 + 27 + 94  # OEIS A048192
+
+
+def test_classify_witness_is_induced_cycle(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    cycles = 0
+    for n in range(1, 7):
+        for g in representatives(n):
+            path.write_text(glcs.to_edge_list(g))
+            code, out, _ = run_cli(
+                ["classify", "--input", str(path), "--format", "json"], capsys
+            )
+            assert code == 0
+            payload = json.loads(out)
+            if payload["chordal"]:
+                continue
+            cycles += 1
+            assert payload["witness_kind"] == "chordless-cycle"
+            cycle = [int(label) for label in payload["witness"]]
+            k = len(cycle)
+            assert k >= 4 and len(set(cycle)) == k
+            # consecutive vertices, and only those, are adjacent
+            for i, j in itertools.combinations(range(k), 2):
+                consecutive = j - i in (1, k - 1)
+                assert g.has_edge(cycle[i], cycle[j]) == consecutive, (g.edges, cycle)
+    assert cycles == 70
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,21 @@ def test_round_trip_vertex_labelled_v():
             assert again.labels == labels
 
 
+@pytest.mark.parametrize(
+    "labels, match",
+    [
+        (("a#x", "b", "c d"), "vertex 0: label 'a#x'"),
+        (("a", "c d"), "vertex 1: label 'c d'"),
+        (("", "b"), "vertex 0: label ''"),
+        (("x", "x"), "vertex 1: label 'x'"),
+    ],
+)
+def test_to_edge_list_rejects_labels_that_do_not_read_back(labels, match):
+    g = Graph(tuple(range(len(labels))), ((0, 1),), labels)
+    with pytest.raises(ValueError, match=match):
+        to_edge_list(g)
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph((0, 1), ((1, 0),))
@@ -260,6 +275,24 @@ def test_chordal_cycles():
         assert len(witness) == n  # the cycle itself is the only induced cycle
 
 
+def _fan(n):
+    """The n-cycle with one more vertex joined to both ends of each cycle edge.
+
+    Each extra vertex closes a triangle, so the cycle is the only hole.
+    """
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    return graph_from_edges(
+        cycle + [(x, n + i) for i, e in enumerate(cycle) for x in e]
+    )
+
+
+@pytest.mark.parametrize("build, n", [(cycle_graph, 20000), (_fan, 10000)])
+def test_chordal_long_hole_is_found_whole(build, n):
+    ok, witness = is_chordal(build(n))
+    assert not ok
+    assert sorted(witness) == list(range(n))
+
+
 def test_chordal_witness_is_induced_cycle():
     g = parse_graph(EXAMPLE)
     ok, cyc = is_chordal(g)
@@ -298,16 +331,21 @@ def test_chordless_cycle_witness_is_checked(monkeypatch, bad):
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (4, 5), (5, 1)]
     )
     assert not is_chordal(g)[0]
-    monkeypatch.setattr(glcs.graphs, "_chordless_cycle", lambda g: list(bad))
+    monkeypatch.setattr(
+        glcs.graphs, "_chordless_cycle", lambda g, elim, fault: list(bad)
+    )
     with pytest.raises(MismatchError, match="not an induced cycle"):
         is_chordal(g)
 
 
 def test_chordless_cycle_missing_is_mismatch(monkeypatch):
-    # a chordal graph whose elimination order is wrongly rejected
-    monkeypatch.setattr(glcs.graphs, "_verify_elimination_order", lambda g, e: False)
+    # a chordal graph whose elimination order is wrongly rejected: the
+    # leaves 1 and 2 of the path 1-0-2 are joined only through 0
+    monkeypatch.setattr(
+        glcs.graphs, "_verify_elimination_order", lambda g, e: (0, 1, 2)
+    )
     with pytest.raises(MismatchError, match="no chordless cycle"):
-        is_chordal(complete_graph(4))
+        is_chordal(graph_from_edges([(0, 1), (0, 2)]))
 
 
 # ---------------------------------------------------------------------------

@@ -614,12 +614,13 @@ _CERTIFICATE_CASES = {
         "glcs.split_at_vertex(glcs.complete_graph(3), 0)",
     ),
     "chordless_cycle_induced": (
-        "glcs.graphs._chordless_cycle = lambda g: [0, 1, 2]",
+        "glcs.graphs._chordless_cycle = lambda g, elim, fault: [0, 1, 2]",
         "glcs.is_chordal(glcs.graph_from_edges([(0, 1), (1, 2), (2, 3), (0, 3)]))",
     ),
     "split_vertex_count": (
-        # g1 = g makes the pieces one vertex too many
-        "glcs.Graph.induced = lambda self, keep: self",
+        # dropping each piece's smallest vertex: |g| + |seam| = 4, |g1| + |g2| = 3
+        "glcs.Graph.induced = lambda self, keep, induced=glcs.Graph.induced: "
+        "induced(self, sorted(keep)[1:])",
         "glcs.split_at_vertex(glcs.complete_graph(3), 0)",
     ),
     "nonnegative_betti": (
@@ -629,8 +630,8 @@ _CERTIFICATE_CASES = {
         "glcs.poincare_polynomial(glcs.complete_graph(2))",
     ),
     "chordless_cycle_found": (
-        "glcs.graphs._verify_elimination_order = lambda g, elim: False",
-        "glcs.is_chordal(glcs.complete_graph(4))",
+        "glcs.graphs._verify_elimination_order = lambda g, elim: (0, 1, 2)",
+        "glcs.is_chordal(glcs.graph_from_edges([(0, 1), (0, 2)]))",
     ),
 }
 

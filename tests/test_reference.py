@@ -4,6 +4,8 @@ The references in reference.py are the direct versions of the same
 routines; maximum cardinality search, the degeneracy order, the
 chordless-cycle witness, triangle completeness, the decomposition tree and
 the expanded LCS product must come out identical, not merely equivalent.
+The shortest-hole search checks the chordality answer and that no witness
+is shorter than a shortest hole.
 The holonomy oracle, which works in the enveloping algebra, must give the
 same graded dimensions and kernel-generation reports as the Lyndon-basis
 oracle.
@@ -16,7 +18,6 @@ import pytest
 import reference
 from glcs import (
     Graph,
-    MismatchError,
     clique_vector,
     decompose,
     graded_dims,
@@ -29,7 +30,7 @@ from glcs import (
     split_at_vertex,
     verify_kernel_generation,
 )
-from glcs.graphs import _chordless_cycle, _peel
+from glcs.graphs import _peel
 from glcs.series import expand_lcs_product
 from iso import representatives
 
@@ -76,35 +77,45 @@ CAPS_LIFTED = {"max_dim": 10**9, "max_entries": 10**15}
 
 
 def _check_orders_and_witness(g):
+    """Check both orders and the witness; (witness, shortest hole) or None."""
     mcs = list(_peel(g, lambda v: 0))
     assert mcs == reference.max_cardinality_search(g)
     degeneracy = list(_peel(g, g.degree))
     assert degeneracy == reference.degeneracy_order(g)
-    expected = reference.chordless_cycle(g)
+    shortest = reference.chordless_cycle(g)
     chordal, witness = is_chordal(g)
     if chordal:
-        assert expected is None
-        with pytest.raises(MismatchError):
-            _chordless_cycle(g)
-    else:
-        assert witness == expected
-    return chordal, witness
+        assert shortest is None
+        assert reference.elimination_witness(g) is None
+        return None
+    assert witness == reference.elimination_witness(g)
+    assert len(witness) >= len(shortest)
+    return witness, shortest
 
 
 def test_orders_and_witness_on_every_6_vertex_class():
     for g in CLASSES6:
-        _check_orders_and_witness(g)
+        found = _check_orders_and_witness(g)
+        if found:
+            # on at most 6 vertices the first fault closes a shortest hole
+            witness, shortest = found
+            assert len(witness) == len(shortest)
 
 
 def test_orders_and_witness_on_seeded_graphs():
     lengths = []
+    longer = 0
     for g in SEEDED:
-        chordal, witness = _check_orders_and_witness(g)
-        if not chordal:
+        found = _check_orders_and_witness(g)
+        if found:
+            witness, shortest = found
             lengths.append(len(witness))
-    # both answers are exercised, and cycles of several lengths
+            longer += len(witness) > len(shortest)
+    # both answers are exercised, cycles of several lengths, and witnesses
+    # both of the shortest length and longer
     assert 0 < len(lengths) < len(SEEDED)
     assert len(set(lengths)) >= 3
+    assert 0 < longer < len(lengths)
 
 
 def _subgraph_pairs(g, rng):
