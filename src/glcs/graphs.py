@@ -8,9 +8,12 @@ operations keep the parent's ids, so labels stay valid across splits.
 from __future__ import annotations
 
 import heapq
+import operator
+from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import MismatchError, ParseError
 
@@ -49,20 +52,25 @@ class Graph:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices) or tuple(sorted(vs)) != self.vertices:
+        vs = self.vertices
+        if not isinstance(vs, tuple) or not isinstance(self.edges, tuple):
+            raise ValueError("vertices and edges must be tuples")
+        if not all(map(operator.lt, vs, vs[1:])):
             raise ValueError("vertices must be strictly increasing")
-        seen = set()
-        for u, v in self.edges:
+        known = set(vs)
+        prev = None
+        # strictly increasing edges are sorted and free of duplicates
+        for e in self.edges:
+            u, v = e
             if u >= v:
                 raise ValueError(f"edge ({u}, {v}) not in canonical order")
-            if u not in vs or v not in vs:
+            if u not in known or v not in known:
                 raise ValueError(f"edge ({u}, {v}) uses an unknown vertex")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        if tuple(sorted(self.edges)) != self.edges:
-            raise ValueError("edges must be sorted")
+            if prev is not None and e <= prev:
+                if e == prev:
+                    raise ValueError(f"duplicate edge ({u}, {v})")
+                raise ValueError("edges must be sorted")
+            prev = e
 
     @property
     def n_vertices(self) -> int:
@@ -394,20 +402,36 @@ def is_triangle_complete(g: Graph, k: Graph) -> bool:
 
     k must be a subgraph of g (checked; ValueError otherwise).  Such a
     triangle has its third edge (b, c) in g but not in k, with b and c
-    joined in k through a common neighbor, so only the edges of g outside
-    k are examined.
+    joined in k through a common neighbor.  So at each vertex b of k only
+    the neighbors c of b in g but not in k are examined, and a vertex whose
+    neighbor set k shares with g (a split piece shares its parent's) is
+    passed over at once.
     """
-    if not set(k.vertices) <= set(g.vertices):
+    gadj, kadj = g._adjacency, k._adjacency
+    if not kadj.keys() <= gadj.keys():
         raise ValueError("k has vertices outside g")
-    kedges = set(k.edges)
-    gedges = set(g.edges)
-    if not kedges <= gedges:
-        raise ValueError("k has edges outside g")
-    kadj = k._adjacency
-    for b, c in gedges - kedges:
-        if b in kadj and c in kadj and not kadj[b].isdisjoint(kadj[c]):
-            return False
+    for b, kb in kadj.items():
+        gb = gadj[b]
+        if kb is gb:
+            continue
+        if not kb <= gb:
+            raise ValueError("k has edges outside g")
+        for c in gb - kb:
+            if c in kadj and not kb.isdisjoint(kadj[c]):
+                return False
     return True
+
+
+def _subgraph(adj: dict[int, frozenset[int]], edges, labels) -> Graph:
+    """The Graph on the keys of adj with these edges, and adj as its adjacency.
+
+    The keys must be in increasing order and adj must be the adjacency of
+    the edges; the Graph is validated as any other, and adj is stored as
+    its cached adjacency instead of being rebuilt from the edges.
+    """
+    g = Graph(tuple(adj), tuple(edges), labels)
+    g.__dict__["_adjacency"] = adj
+    return g
 
 
 def split_at_vertex(g: Graph, v: int) -> tuple[Graph, Graph, Graph]:
@@ -417,13 +441,39 @@ def split_at_vertex(g: Graph, v: int) -> tuple[Graph, Graph, Graph]:
     N[v], and the seam the subgraph induced on the neighborhood N(v).  All
     four containments (seam in g1, seam in g2, g1 in g, g2 in g) are
     triangle-complete; vertex counts satisfy |g| + |seam| = |g1| + |g2|.
+    Both are checked, and a failure raises MismatchError.
+
+    The pieces are built from the adjacency of g: g1 keeps every neighbor
+    set of g except those of N(v), which lose v, and its edges are those of
+    g with v's deg(v) edges cut out (one copy of the edge tuple); g2 and
+    the seam are g's adjacency restricted to N[v] and N(v), in O(deg(v)^2)
+    set operations.
     """
-    if v not in g._adjacency:
+    adj = g._adjacency
+    if v not in adj:
         raise ValueError(f"vertex {v} not in graph")
-    nv = g.neighbors(v)
-    g1 = g.induced(set(g.vertices) - {v})
-    g2 = g.induced(nv | {v})
-    seam = g2.induced(nv)
+    nv = adj[v]
+    edges = g.edges
+    cuts = sorted(bisect_left(edges, (min(v, w), max(v, w))) for w in nv)
+    adj1 = dict(adj)
+    del adj1[v]
+    adj1.update((w, adj[w] - {v}) for w in nv)
+    g1 = _subgraph(
+        adj1,
+        chain.from_iterable(
+            edges[a + 1:b] for a, b in zip([-1, *cuts], [*cuts, len(edges)])
+        ),
+        g.labels,
+    )
+    closed = nv | {v}
+    adj2 = {x: adj[x] & closed for x in sorted(closed)}
+    edges2 = [(x, y) for x, ns in adj2.items() for y in sorted(ns) if y > x]
+    g2 = _subgraph(adj2, edges2, g.labels)
+    seam = _subgraph(
+        {x: ns - {v} for x, ns in adj2.items() if x != v},
+        (e for e in edges2 if v not in e),
+        g.labels,
+    )
     for big, small, name in (
         (g1, seam, "seam in g1"),
         (g2, seam, "seam in g2"),

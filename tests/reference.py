@@ -19,7 +19,6 @@ from glcs import (
     MismatchError,
     Node,
     presentation,
-    split_at_vertex,
     witt_dimension,
 )
 from glcs.holonomy import KernelGenerationRow, _Echelon
@@ -122,6 +121,36 @@ def is_triangle_complete(g: Graph, k: Graph) -> bool:
         if inside == 2:
             return False
     return True
+
+
+def adjacency(g: Graph) -> dict[int, set[int]]:
+    """Each vertex's neighbours, read off the edge list."""
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def induced(g: Graph, keep) -> Graph:
+    """The vertices and edges of g inside keep, filtered one by one."""
+    return Graph(
+        tuple(v for v in g.vertices if v in keep),
+        tuple((u, v) for u, v in g.edges if u in keep and v in keep),
+        g.labels,
+    )
+
+
+def split_at_vertex(g: Graph, v: int) -> tuple[Graph, Graph, Graph]:
+    """(g minus v, g on N[v], g on N(v)), each filtered from the edge list."""
+    if v not in g.vertices:
+        raise ValueError(f"vertex {v} not in graph")
+    nv = {a if b == v else b for a, b in g.edges if v in (a, b)}
+    return (
+        induced(g, set(g.vertices) - {v}),
+        induced(g, nv | {v}),
+        induced(g, nv),
+    )
 
 
 def decompose(g: Graph):

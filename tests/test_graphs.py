@@ -148,13 +148,19 @@ def test_to_edge_list_rejects_labels_that_do_not_read_back(labels, match):
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph((0, 1), ((1, 0),))
-    with pytest.raises(ValueError):
-        Graph((0, 1), ((0, 2),))
-    with pytest.raises(ValueError):
-        Graph((0, 0), ())
-    with pytest.raises(ValueError):
+    for vertices, edges, match in [
+        ((0, 0), (), "vertices must be strictly increasing"),
+        ((1, 0), (), "vertices must be strictly increasing"),
+        ((0, 1), ((1, 0),), r"edge \(1, 0\) not in canonical order"),
+        ((0, 1), ((0, 2),), r"edge \(0, 2\) uses an unknown vertex"),
+        ((0, 1, 2), ((0, 1), (0, 1), (1, 2)), r"duplicate edge \(0, 1\)"),
+        ((0, 1, 2), ((0, 2), (0, 1)), "edges must be sorted"),
+        ([0, 1], ((0, 1),), "vertices and edges must be tuples"),
+        ((0, 1), [(0, 1)], "vertices and edges must be tuples"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            Graph(vertices, edges)
+    with pytest.raises(ValueError, match="self-loop at 1"):
         graph_from_edges([(1, 1)])
 
 
@@ -363,9 +369,9 @@ def test_triangle_complete_basic():
 
 def test_triangle_complete_requires_subgraph():
     g = complete_graph(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k has vertices outside g"):
         is_triangle_complete(g, Graph((0, 5), ((0, 5),)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k has edges outside g"):
         is_triangle_complete(cycle_graph(4), Graph((0, 2), ((0, 2),)))
 
 

@@ -619,8 +619,9 @@ _CERTIFICATE_CASES = {
     ),
     "split_vertex_count": (
         # dropping each piece's smallest vertex: |g| + |seam| = 4, |g1| + |g2| = 3
-        "glcs.Graph.induced = lambda self, keep, induced=glcs.Graph.induced: "
-        "induced(self, sorted(keep)[1:])",
+        "glcs.graphs._subgraph = lambda adj, edges, labels, "
+        "subgraph=glcs.graphs._subgraph: "
+        "subgraph(adj, edges, labels).induced(sorted(adj)[1:])",
         "glcs.split_at_vertex(glcs.complete_graph(3), 0)",
     ),
     "nonnegative_betti": (

@@ -2,8 +2,10 @@
 
 The references in reference.py are the direct versions of the same
 routines; maximum cardinality search, the degeneracy order, the
-chordless-cycle witness, triangle completeness, the decomposition tree and
-the expanded LCS product must come out identical, not merely equivalent.
+chordless-cycle witness, triangle completeness, the split pieces, the
+decomposition tree and the expanded LCS product must come out identical,
+not merely equivalent.  The adjacency a split piece inherits from its
+parent must be the one its own edges give.
 The shortest-hole search checks the chordality answer and that no witness
 is shorter than a shortest hole.
 The holonomy oracle, which works in the enveloping algebra, must give the
@@ -18,6 +20,7 @@ import pytest
 import reference
 from glcs import (
     Graph,
+    Node,
     clique_vector,
     decompose,
     graded_dims,
@@ -70,9 +73,14 @@ def _seeded_graphs():
     return graphs
 
 
+def _sparse_graph():
+    return _gnm(random.Random(150), 150, 450)
+
+
 CLASSES6 = representatives(6)
 CLASSES5 = representatives(5)
 SEEDED = _seeded_graphs()
+SMALL = list(CLASSES6) + [g for g in SEEDED if g.n_vertices <= 25]
 CAPS_LIFTED = {"max_dim": 10**9, "max_entries": 10**15}
 
 
@@ -133,8 +141,7 @@ def _subgraph_pairs(g, rng):
 def test_triangle_complete_matches_reference():
     rng = random.Random(7)
     answers = []
-    graphs = list(CLASSES6) + [g for g in SEEDED if g.n_vertices <= 25]
-    for g in graphs:
+    for g in SMALL:
         for big, small in _subgraph_pairs(g, rng):
             got = is_triangle_complete(big, small)
             assert got == reference.is_triangle_complete(big, small)
@@ -142,14 +149,49 @@ def test_triangle_complete_matches_reference():
     assert True in answers and False in answers
 
 
+def _assert_adjacency_from_edges(g):
+    # a stale neighbour set would pass the equality checks, which compare
+    # vertices and edges only
+    assert g._adjacency == reference.adjacency(g)
+
+
+def test_split_matches_reference():
+    sparse = _sparse_graph()
+    labels = tuple(f"x{v}" for v in sparse.vertices)
+    labelled = Graph(sparse.vertices, sparse.edges, labels)
+    for g in SMALL + [labelled]:
+        for v in g.vertices:
+            got = split_at_vertex(g, v)
+            want = reference.split_at_vertex(g, v)
+            for piece, expected in zip(got, want, strict=True):
+                assert piece == expected
+                assert piece.labels == expected.labels
+                _assert_adjacency_from_edges(piece)
+
+
+def _tree_graphs(tree):
+    stack = [tree]
+    while stack:
+        tree = stack.pop()
+        yield tree.graph
+        if isinstance(tree, Node):
+            yield tree.seam
+            stack += [tree.left, tree.right]
+
+
 def test_decompose_matches_reference():
-    for g in list(CLASSES6) + [g for g in SEEDED if g.n_vertices <= 25]:
+    for g in SMALL:
         assert decompose(g) == reference.decompose(g)
 
 
+def test_decompose_adjacency_matches_edges():
+    for g in SMALL + [_sparse_graph()]:
+        for h in _tree_graphs(decompose(g)):
+            _assert_adjacency_from_edges(h)
+
+
 def _sparse_phi(order):
-    rng = random.Random(150)
-    g = _gnm(rng, 150, 450)
+    g = _sparse_graph()
     return phi_from_exponents(graphic_exponents(clique_vector(g)), order)
 
 
