@@ -4,12 +4,14 @@ Output is deterministic for identical input and flags; JSON payloads are
 schema-stable and render every integer as a decimal string.  Exit codes:
 0 success / all checks pass, 2 usage, parse or input error, 3 integrality
 failure, 4 feasibility refusal, 5 mathematical mismatch between routes.
+A reader that closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -364,10 +366,18 @@ def main(argv=None) -> int:
     except tuple(exits) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(c for t, c in exits.items() if isinstance(exc, t))
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`); send what is left to
+        # os.devnull, so that the flush at interpreter exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

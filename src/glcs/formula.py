@@ -216,139 +216,43 @@ def decomposable_series(g: Graph, order: int) -> TruncatedSeries:
 def chromatic_polynomial(g: Graph) -> IntPolynomial:
     """Chromatic polynomial by deletion and contraction.
 
-    Exact integer arithmetic; splits across connected components, and
-    memoizes on an isomorphism-invariant canonical form for graphs on at
-    most 10 vertices.
+    Exact integer arithmetic.  Each step deletes and contracts the first
+    (smallest) edge.  An isolated vertex only contributes a factor t, so
+    every graph in the recursion is cut down to the vertices its edges
+    touch, renumbered 0..k-1 in increasing order, and that sorted edge
+    tuple alone is the memo key.  Renumbering keeps the order, so it is an
+    isomorphism that keeps the pivot: graphs with equal keys have equal
+    chromatic polynomials.  The recursion is at most the edge count deep.
     """
-    memo: dict = {}
-    return _chromatic(frozenset(g.vertices), frozenset(g.edges), memo)
+    return _chromatic(g.edges, g.n_vertices, {})
 
 
-def _chromatic(vertices: frozenset[int], edges: frozenset, memo) -> IntPolynomial:
-    if not edges:
-        return IntPolynomial((0,) * len(vertices) + (1,))
-    key = _canonical_key(vertices, edges)
-    if key is not None and key in memo:
-        return memo[key]
-    comps = _components(vertices, edges)
-    if len(comps) > 1:
-        result = IntPolynomial((1,))
-        for comp in comps:
-            sub = frozenset(e for e in edges if e[0] in comp)
-            result = result * _chromatic(comp, sub, memo)
-    else:
-        u, v = min(edges)
-        deleted = edges - {(u, v)}
-        contracted = frozenset(
-            (min(a, b), max(a, b))
-            for a, b in (
-                (u if x == v else x, u if y == v else y) for x, y in deleted
-            )
-            if a != b
-        )
-        result = _chromatic(vertices, deleted, memo) - _chromatic(
-            vertices - {v}, contracted, memo
-        )
-    if key is not None:
-        memo[key] = result
-    return result
-
-
-def _components(vertices: frozenset[int], edges: frozenset) -> list[frozenset[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
-_PERM_CAP = 10080
-
-
-def _canonical_key(vertices: frozenset[int], edges: frozenset):
-    """Isomorphism-invariant memo key, or a labeled fallback key.
-
-    Dense graphs are keyed through their complement (isomorphism-faithful
-    and much sparser along deletion-contraction of near-complete graphs).
-    Only vertices touched by the kept edge set enter the canonical search:
-    the untouched ones are interchangeable, so their count suffices.  Color
-    refinement then bounds the relabelings to minimize over; graphs whose
-    refinement stays too coarse fall back to the exact labeled key, which
-    is still correct, just less shared.
-    """
-    n = len(vertices)
-    if n > 10:
-        return None
-    if n <= 6:
-        # cheap exact key; the raw recursion is already fast at this size
-        return ("labeled", n, edges)
-    flag = "canon"
-    if len(edges) > n * (n - 1) // 4:
-        flag = "co-canon"
-        edges = frozenset(
-            (u, v)
-            for u, v in itertools.combinations(sorted(vertices), 2)
-            if (u, v) not in edges
-        )
-    core = sorted({v for e in edges for v in e})
-    adj: dict[int, list[int]] = {v: [] for v in core}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    color = {v: len(adj[v]) for v in core}
-    while True:
-        sig = {
-            v: (color[v], tuple(sorted(color[w] for w in adj[v])))
-            for v in core
-        }
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: palette[sig[v]] for v in core}
-        if new == color:
-            break
-        color = new
-    classes: dict[int, list[int]] = {}
-    for v in core:
-        classes.setdefault(color[v], []).append(v)
-    ordered = [classes[c] for c in sorted(classes)]
-    count = 1
-    for cls in ordered:
-        for i in range(2, len(cls) + 1):
-            count *= i
-        if count > _PERM_CAP:
-            return ("labeled", n, edges, flag)
-    best = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(cls) for cls in ordered)
-    ):
-        relabel = {}
-        i = 0
-        for part in perm_parts:
-            for v in part:
-                relabel[v] = i
-                i += 1
-        cand = tuple(
-            sorted(
-                (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
-                for u, v in edges
-            )
-        )
-        if best is None or cand < best:
-            best = cand
-    return (flag, n, best)
+def _chromatic(edges, n: int, memo: dict) -> IntPolynomial:
+    """chi of the graph on n vertices with these sorted edges (u < v)."""
+    ends = sorted({x for e in edges for x in e})
+    # edges already on 0..k-1 keep their pair tuples, so the memo's keys
+    # share them instead of each holding copies
+    if ends != list(range(len(ends))):
+        index = {x: i for i, x in enumerate(ends)}
+        edges = [(index[u], index[v]) for u, v in edges]
+    key = tuple(edges)
+    chi = memo.get(key)
+    if chi is None:
+        if not key:
+            chi = IntPolynomial((1,))
+        else:
+            (u, v), rest = key[0], key[1:]
+            contracted = sorted({
+                (min(a, b), max(a, b))
+                for a, b in (
+                    (u if x == v else x, u if y == v else y) for x, y in rest
+                )
+                if a != b
+            })
+            k = len(ends)
+            chi = _chromatic(rest, k, memo) - _chromatic(contracted, k - 1, memo)
+        memo[key] = chi
+    return IntPolynomial((0,) * (n - len(ends)) + chi.coeffs)
 
 
 def chordal_chromatic(kappa) -> IntPolynomial:

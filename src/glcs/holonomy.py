@@ -22,7 +22,7 @@ from math import gcd
 from operator import add
 
 from .errors import FeasibilityError, MismatchError
-from .graphs import Graph, is_triangle_complete
+from .graphs import Graph, is_triangle_complete, split_at_vertex
 from .series import expand_lcs_product, moebius
 
 __all__ = [
@@ -578,8 +578,6 @@ def verify_mayer_vietoris(
     The four graded dimensions come from independent brute-force runs on
     the split pieces at the given pivot vertex.
     """
-    from .graphs import split_at_vertex
-
     g1, g2, seam = split_at_vertex(g, pivot)
     kw = {"max_dim": max_dim, "max_entries": max_entries}
     dims = {

@@ -163,6 +163,36 @@ def decompose(g: Graph):
     return Node(g, pivot, decompose(g1), decompose(g2), seam)
 
 
+def chromatic_polynomial(g: Graph) -> tuple[int, ...]:
+    """Coefficients of chi(t) = sum over S in E of (-1)^|S| t^c(V, S).
+
+    Whitney's expansion: c(V, S) counts the components of the spanning
+    subgraph with edge set S, found by relabelling components as the edges
+    of S join them.  Constant term first, trailing zeros trimmed; 2^m
+    subsets.
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    edges = [(index[u], index[v]) for u, v in g.edges]
+    coeffs = [0] * (len(index) + 1)
+
+    def expand(i, comp, count, sign):
+        # comp[x] names the component of x in (V, S), S the edges taken
+        if i == len(edges):
+            coeffs[count] += sign
+            return
+        expand(i + 1, comp, count, sign)
+        a, b = comp[edges[i][0]], comp[edges[i][1]]
+        if a == b:
+            expand(i + 1, comp, count, -sign)
+        else:
+            expand(i + 1, [a if c == b else c for c in comp], count - 1, -sign)
+
+    expand(0, list(range(len(index))), len(index), 1)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 def expand_lcs_product(phi, order: int) -> TruncatedSeries:
     """prod_k (1 - t^k)^(phi_k) by repeated squaring of each factor."""
     if order > len(phi):

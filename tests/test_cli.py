@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -416,6 +418,14 @@ def test_decompose_json_tree_matches_text(example_file, capsys):
     assert series == [line.split("U: ")[1] for line in tree_lines if "U: " in line]
 
 
+def _env_with_package():
+    """The environment with the imported glcs first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(glcs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_decompose_deep_path_within_recursion_limit(tmp_path):
     # a path splits off one end vertex at a time: a left chain of 998 nodes
     path = tmp_path / "path.edges"
@@ -425,11 +435,9 @@ def test_decompose_deep_path_within_recursion_limit(tmp_path):
         "sys.setrecursionlimit(150)\n"
         f"sys.exit(glcs.cli.main(['decompose', '--degree', '3', '--input', {str(path)!r}]))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(glcs.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=_env_with_package(),
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
@@ -437,6 +445,26 @@ def test_decompose_deep_path_within_recursion_limit(tmp_path):
     assert lines[-1] == "check glued-equals-direct: PASS"
     assert proc.stdout.count("node pivot=") == 998
     assert lines[-3] == "U: 1 -999 498501 -165668499"
+
+
+def test_decompose_into_closed_pipe_is_quiet(tmp_path):
+    # `glcs decompose --input g150.edges | head -1`: the reader leaves after
+    # the first of about 0.5 MB of lines, far more than a pipe buffers
+    rng = random.Random(150)
+    pairs = list(itertools.combinations(range(150), 2))
+    path = tmp_path / "g150.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in rng.sample(pairs, 450)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "glcs.cli", "decompose", "--input", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_package(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert first == b"graph: 150 vertices, 450 edges\n"
+    assert err == b""
 
 
 def test_decompose_mismatch_exit_5(k3_file, capsys, monkeypatch):
@@ -469,6 +497,22 @@ def test_chromatic_square_skips_product(tmp_path, capsys):
     assert code == 0
     assert "chordal: no" in out
     assert "chordal-product" not in out
+
+
+def test_chromatic_cycle_30(tmp_path, capsys):
+    # chi(C_30) = (t-1)^30 + (t-1), from deletion-contraction on 30 edges
+    path = tmp_path / "c30.edges"
+    path.write_text("".join(f"c{i} c{(i + 1) % 30}\n" for i in range(30)))
+    code, out, _ = run_cli(
+        ["chromatic", "--input", str(path), "--format", "json"], capsys
+    )
+    assert code == 0
+    expected = [math.comb(30, k) * (-1) ** (30 - k) for k in range(31)]
+    expected[0] -= 1
+    expected[1] += 1
+    payload = json.loads(out)
+    assert payload["chromatic"] == [str(c) for c in expected]
+    assert payload["chordal"] is False
 
 
 def test_chromatic_json(k3_file, capsys):

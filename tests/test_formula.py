@@ -221,12 +221,23 @@ def test_chromatic_counts_colorings():
 
 def test_chromatic_ten_vertex_memoization():
     # complete graph on 10 vertices: chi = t(t-1)...(t-9); exercises the
-    # canonical-form memo keeping the recursion tractable
+    # memo on renumbered edge lists, which keeps the recursion tractable
     chi = chromatic_polynomial(complete_graph(10))
     expected = IntPolynomial((0, 1))
     for j in range(1, 10):
         expected = expected * IntPolynomial((-j, 1))
     assert chi == expected
+
+
+def test_chromatic_long_cycles_and_path():
+    # chi(C_n) = (t-1)^n + (-1)^n (t-1) and chi(P_n) = t(t-1)^(n-1); the
+    # recursion stays polynomial only if the memo shares relabelled paths
+    t_minus_1 = IntPolynomial((-1, 1))
+    for n in (30, 200):
+        expected = t_minus_1 ** n + IntPolynomial(((-1) ** n,)) * t_minus_1
+        assert chromatic_polynomial(cycle_graph(n)) == expected
+    path = graph_from_edges([(i, i + 1) for i in range(39)])
+    assert chromatic_polynomial(path) == IntPolynomial((0, 1)) * t_minus_1 ** 39
 
 
 def test_chordal_chromatic_matches():

@@ -5,7 +5,8 @@ routines; maximum cardinality search, the degeneracy order, the
 chordless-cycle witness, triangle completeness, the split pieces, the
 decomposition tree and the expanded LCS product must come out identical,
 not merely equivalent.  The adjacency a split piece inherits from its
-parent must be the one its own edges give.
+parent must be the one its own edges give.  Deletion-contraction must give
+the chromatic polynomial of Whitney's expansion over edge subsets.
 The shortest-hole search checks the chordality answer and that no witness
 is shorter than a shortest hole.
 The holonomy oracle, which works in the enveloping algebra, must give the
@@ -21,6 +22,7 @@ import reference
 from glcs import (
     Graph,
     Node,
+    chromatic_polynomial,
     clique_vector,
     decompose,
     graded_dims,
@@ -188,6 +190,30 @@ def test_decompose_adjacency_matches_edges():
     for g in SMALL + [_sparse_graph()]:
         for h in _tree_graphs(decompose(g)):
             _assert_adjacency_from_edges(h)
+
+
+def _chromatic_graphs():
+    rng = random.Random(1410)
+    graphs = [g for n in range(7) for g in representatives(n)]
+    for _ in range(24):
+        n = rng.randint(1, 10)
+        graphs.append(_gnm(rng, n, rng.randint(0, min(14, n * (n - 1) // 2))))
+    # a triangle among isolated vertices, and a subgraph keeping its
+    # parent's ids, which are not 0..k-1
+    graphs.append(graph_from_edges([(2, 5), (5, 9), (2, 9)], vertices=range(11)))
+    sub = _gnm(rng, 10, 20).induced({1, 3, 4, 6, 8, 9})
+    assert sub.n_edges and sub.vertices == (1, 3, 4, 6, 8, 9)
+    graphs.append(sub)
+    return graphs
+
+
+def test_chromatic_matches_whitney_expansion():
+    graphs = _chromatic_graphs()
+    assert graphs[0].n_vertices == 0
+    assert max(g.n_vertices for g in graphs) == 11
+    assert max(g.n_edges for g in graphs) == 15
+    for g in graphs:
+        assert chromatic_polynomial(g).coeffs == reference.chromatic_polynomial(g)
 
 
 def _sparse_phi(order):
