@@ -216,15 +216,28 @@ def decomposable_series(g: Graph, order: int) -> TruncatedSeries:
 def chromatic_polynomial(g: Graph) -> IntPolynomial:
     """Chromatic polynomial by deletion and contraction.
 
-    Exact integer arithmetic.  Each step deletes and contracts the first
-    (smallest) edge.  An isolated vertex only contributes a factor t, so
-    every graph in the recursion is cut down to the vertices its edges
-    touch, renumbered 0..k-1 in increasing order, and that sorted edge
-    tuple alone is the memo key.  Renumbering keeps the order, so it is an
-    isomorphism that keeps the pivot: graphs with equal keys have equal
-    chromatic polynomials.  The recursion is at most the edge count deep.
+    Exact integer arithmetic.  chi is the product over the connected
+    components.  Each step deletes and contracts the first (smallest) edge.
+    An isolated vertex only contributes a factor t, so every graph in the
+    recursion is cut down to the vertices its edges touch, renumbered
+    0..k-1 in increasing order, and that sorted edge tuple alone is the
+    memo key.  Renumbering keeps the order, so it is an isomorphism that
+    keeps the pivot: graphs with equal keys have equal chromatic
+    polynomials.  The recursion is at most the edge count of the largest
+    component deep.  Components are split off only here, not where a
+    deletion disconnects the graph partway down.
     """
-    return _chromatic(g.edges, g.n_vertices, {})
+    comps = [c for c in g.components() if len(c) > 1]
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    pieces: list[list] = [[] for _ in comps]
+    for e in g.edges:
+        pieces[where[e[0]]].append(e)
+    isolated = g.n_vertices - len(where)
+    chi = IntPolynomial((0,) * isolated + (1,))
+    memo: dict = {}
+    for comp, edges in zip(comps, pieces):
+        chi = chi * _chromatic(edges, len(comp), memo)
+    return chi
 
 
 def _chromatic(edges, n: int, memo: dict) -> IntPolynomial:

@@ -515,6 +515,22 @@ def test_chromatic_cycle_30(tmp_path, capsys):
     assert payload["chordal"] is False
 
 
+def test_chromatic_perfect_matching_1000(tmp_path, capsys):
+    # chi = t^1000 (t-1)^1000; each component recurses one edge deep, so
+    # the 1000 edges in all never approach the recursion limit
+    path = tmp_path / "matching.edges"
+    path.write_text("".join(f"a{i} b{i}\n" for i in range(1000)))
+    code, out, _ = run_cli(
+        ["chromatic", "--input", str(path), "--format", "json"], capsys
+    )
+    assert code == 0
+    expected = [0] * 1000 + [
+        math.comb(1000, k) * (-1) ** (1000 - k) for k in range(1001)
+    ]
+    payload = json.loads(out)
+    assert payload["chromatic"] == [str(c) for c in expected]
+
+
 def test_chromatic_json(k3_file, capsys):
     code, out, _ = run_cli(
         ["chromatic", "--input", k3_file, "--format", "json"], capsys
