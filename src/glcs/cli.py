@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .errors import (
     FeasibilityError,
@@ -34,7 +35,7 @@ from .graphs import (
     is_chordal,
     parse_graph,
 )
-from .holonomy import phi_bruteforce, verify_mayer_vietoris
+from .holonomy import DEFAULT_MAX_DIM, phi_bruteforce, verify_mayer_vietoris
 from .series import expand_lcs_product, expand_product, phi_from_exponents
 
 EXIT_OK = 0
@@ -312,6 +313,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glcs",
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="CAP",
                             help="cap on the free Lie dimension of the "
                                  "brute force, summed over its blocks "
-                                 "(default 200000)")
+                                 f"(default {DEFAULT_MAX_DIM})")
     return parser
 
 

@@ -42,7 +42,7 @@ class FeasibilityError(GlcsError):
 
 
 class NotDecomposableError(GlcsError):
-    """The decomposable-arrangement formula was applied to a graph with triangles."""
+    """The decomposable-arrangement formula was applied to a graph with a K_4."""
 
 
 class MismatchError(GlcsError):

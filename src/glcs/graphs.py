@@ -132,21 +132,26 @@ class Graph:
                     yield (u, v, w)
 
     def components(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        out = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                for w in self._adjacency[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
+        """Vertex sets of the connected components, by smallest vertex."""
+        return _components(self.vertices, self.edges)
+
+
+def _components(vertices, pairs) -> list[frozenset[int]]:
+    """Connected components of (vertices, pairs), by their first vertex."""
+    root = {v: v for v in vertices}
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for u, v in pairs:
+        root[find(u)] = find(v)
+    members: dict[int, list[int]] = {}
+    for v in vertices:
+        members.setdefault(find(v), []).append(v)
+    return [frozenset(c) for c in members.values()]
 
 
 def graph_from_edges(edges, vertices=None) -> Graph:

@@ -8,21 +8,23 @@ R ⊗ A_{k-2} -> V ⊗ A_{k-1}, and reads the Lie ranks off dim A_k through the
 Poincare-Birkhoff-Witt identity sum dim A_k t^k = prod_k (1 - t^k)^(-phi_k).
 Edges that share no triangle commute, so h is the direct product of the
 holonomy algebras of its blocks, the triangle-connected classes of edges:
-each block gets its own cokernels, and the ranks add.  Each degree's rows
-are inserted shortest first, which changes the fill-in along the way but not
-the reduced echelon form.  No Lie word is ever formed.  No floating point and no modular
-shortcuts: ranks are certified over the rationals.
+each block gets its own cokernels, cached per presentation, and the ranks
+add.  Each degree's rows are inserted shortest first, which changes the
+fill-in along the way but not the reduced echelon form.  No Lie word is ever
+formed.  No floating point and no modular shortcuts: ranks are certified
+over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import add
 
 from .errors import FeasibilityError, MismatchError
-from .graphs import Graph, is_triangle_complete, split_at_vertex
+from .graphs import Graph, _components, is_triangle_complete, split_at_vertex
 from .series import expand_lcs_product, moebius
 
 __all__ = [
@@ -239,7 +241,7 @@ class GradedDims:
 
 
 class _Cokernels:
-    """The enveloping algebra U(h) = T(V)/(R) of one presentation, by degree.
+    """The enveloping algebra U(h) = T(V)/(R) of m letters, by degree.
 
     A_k = coker(R ⊗ A_{k-2} -> V ⊗ A_{k-1}): column a * dims[k-1] + f of
     degree k stands for x_a times basis element f of A_{k-1}, and relator
@@ -247,13 +249,14 @@ class _Cokernels:
     sum c_ab e_a ⊗ mu[k-1](x_b ⊗ g).  The free columns of the degree-k
     echelon are the basis of A_k.  mu[k] maps each column of degree k to
     its normal form in A_k, as (denominator, ((basis index, numerator),
-    ...)); it is built from the echelon only when asked for.
+    ...)); it is built from the echelon only when asked for.  The relators
+    are written as in HolonomyPresentation.
     """
 
     __slots__ = ("m", "terms", "dims", "mu", "top")
 
-    def __init__(self, p: HolonomyPresentation):
-        self.m = p.num_generators
+    def __init__(self, m: int, relators):
+        self.m = m
         # [x_i, x_j] = x_i x_j - x_j x_i, with letters from 0
         self.terms = [
             tuple(
@@ -261,7 +264,7 @@ class _Cokernels:
                 for (i, j), c in rel
                 for t in ((i - 1, j - 1, c), (j - 1, i - 1, -c))
             )
-            for rel in p.relators
+            for rel in relators
         ]
         self.dims = [1, self.m]
         self.mu = [None, [(1, ((a, 1),)) for a in range(self.m)]]
@@ -362,8 +365,9 @@ def _pbw_ranks(dims) -> tuple[int, ...]:
     return tuple(phi)
 
 
-def _blocks(p: HolonomyPresentation) -> list:
-    """p's direct factors: (letters, presentation on them) per block.
+@lru_cache(maxsize=4)
+def _blocks(p: HolonomyPresentation) -> tuple:
+    """p's direct factors: (letters, cokernels on them) per block.
 
     Letters i < j share a block when [x_i, x_j] on its own is not a
     relator, or when a relator with more than one term involves both.
@@ -373,6 +377,10 @@ def _blocks(p: HolonomyPresentation) -> list:
     re-indexed from 1 in increasing order with its relators in p's order;
     the commutators across blocks are dropped.  For presentation(g) the
     blocks are the triangle-connected classes of edges.
+
+    Cached for the 4 most recently used presentations, by content, so an
+    equal presentation made anew extends the same states: enough for g
+    and the three pieces of one Mayer-Vietoris pivot.
     """
     m = p.num_generators
     linked = set(combinations(range(1, m + 1), 2))
@@ -380,72 +388,37 @@ def _blocks(p: HolonomyPresentation) -> list:
     for rel in p.relators:
         if len(rel) > 1:
             linked.update((rel[0][0][0], x) for (i, j), _ in rel for x in (i, j))
-    # a union-find: building a Graph for Graph.components would cost more
-    # than the rest of this function
-    root = list(range(m + 1))
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    for i, j in linked:
-        root[find(i)] = find(j)
-    block_of = [find(a) for a in range(m + 1)]
-    letters: dict[int, list[int]] = {}
+    blocks = [sorted(c) for c in _components(range(1, m + 1), linked)]
+    block_of = [0] * (m + 1)
     index = [0] * (m + 1)
-    for a in range(1, m + 1):
-        block = letters.setdefault(block_of[a], [])
-        block.append(a)
-        index[a] = len(block)
-    relators: dict[int, list] = {b: [] for b in letters}
+    for b, letters in enumerate(blocks):
+        for i, a in enumerate(letters, start=1):
+            block_of[a] = b
+            index[a] = i
+    relators: list[list] = [[] for _ in blocks]
     for rel in p.relators:
         if rel and block_of[rel[0][0][0]] == block_of[rel[0][0][1]]:
             relators[block_of[rel[0][0][0]]].append(
                 tuple(((index[i], index[j]), c) for (i, j), c in rel)
             )
-    return [
-        (tuple(ls), HolonomyPresentation(len(ls), tuple(relators[b])))
-        for b, ls in letters.items()
-    ]
-
-
-# Cokernels are kept for the few most recently used block presentations
-# only (equal blocks share an entry, every single letter is (1, ())).  That
-# is not enough for one `glcs verify` to build each state once: it goes back
-# to g between the seam and the two pieces of each Mayer-Vietoris pivot.
-# Over the connected 6-vertex classes with 9 to 12 edges, one verify at
-# oracle degree 4 builds 8.8 states on average with 4 entries, 6.55 with 6,
-# 6.19 with 8 and 6.15 with no bound.
-_STATE_CACHE_SIZE = 4
-_STATE_CACHE: dict[tuple[int, tuple], _Cokernels] = {}
-
-
-def _cokernels(p: HolonomyPresentation) -> _Cokernels:
-    """The cached state of a presentation, now the most recent entry."""
-    key = (p.num_generators, p.relators)
-    state = _STATE_CACHE.pop(key, None)
-    if state is None:
-        state = _Cokernels(p)
-        while len(_STATE_CACHE) >= _STATE_CACHE_SIZE:
-            del _STATE_CACHE[next(iter(_STATE_CACHE))]
-    _STATE_CACHE[key] = state
-    return state
+    # equal blocks, such as every single letter, share one state
+    keys = [(len(ls), tuple(rels)) for ls, rels in zip(blocks, relators)]
+    states = {key: _Cokernels(*key) for key in keys}
+    return tuple((tuple(ls), states[key]) for ls, key in zip(blocks, keys))
 
 
 def _block_states(
     p: HolonomyPresentation, up_to: int, max_dim: int | None, max_entries: int | None
-) -> list:
+) -> tuple:
     """(letters, cokernels) of each block of p, built to degree up_to.
 
     Both caps are on sums over the blocks, since the work is done per
     block: the free Lie dimension of each block's letters, and the dense
     size of each block's degree-k matrix (counted for k >= 3).  They are
     checked at every degree, even when it is already cached, so the
-    outcome does not depend on what earlier calls computed.  The states
-    are held here, so a later call that evicts them from the cache does
-    not cost the caller their echelons.
+    outcome does not depend on what earlier calls computed.  The caller
+    holds the states returned, so a later call that evicts p from the
+    cache does not cost it their echelons.
     """
     if up_to < 1:
         raise ValueError("up_to must be >= 1")
@@ -453,7 +426,7 @@ def _block_states(
         max_dim = DEFAULT_MAX_DIM
     if max_entries is None:
         max_entries = DEFAULT_MAX_ENTRIES
-    blocks = [(letters, _cokernels(q)) for letters, q in _blocks(p)]
+    blocks = _blocks(p)
     for k in range(2, up_to + 1):
         wd = sum(witt_dimension(s.m, k) for _, s in blocks)
         if wd > max_dim:
@@ -514,8 +487,8 @@ def graded_dims(
     max_dim (default DEFAULT_MAX_DIM), or more than max_entries (default
     DEFAULT_MAX_ENTRIES) entries in the dense degree-k matrices, counted
     for k >= 3; both are summed over the blocks, each block's dimension
-    being the Witt dimension of its own letters.  The cokernels of the
-    most recently used block presentations are cached and extended on
+    being the Witt dimension of its own letters.  The blocks' cokernels of
+    the 4 most recently used presentations are cached and extended on
     demand.
     """
     phi = _peeled_ranks(_block_states(p, up_to, max_dim, max_entries), up_to)

@@ -8,6 +8,7 @@ basis of the free Lie algebra; it shares only the exact echelon with glcs.
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 from glcs import (
@@ -130,6 +131,27 @@ def adjacency(g: Graph) -> dict[int, set[int]]:
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def components(g: Graph) -> list[frozenset[int]]:
+    """Breadth-first search from each vertex not yet reached, in vertex order."""
+    adj = adjacency(g)
+    seen: set[int] = set()
+    out = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        queue = collections.deque(comp)
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        out.append(frozenset(comp))
+    return out
 
 
 def induced(g: Graph, keep) -> Graph:

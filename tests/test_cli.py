@@ -152,6 +152,19 @@ def test_rejects_flag_the_command_does_not_read(example_file, command, flag, cap
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_usage_error_leaves_the_parser_as_it_was(k3_file, capsys):
+    # one parser serves every call in a process
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["chromatic", "--input", k3_file]
+    first = run_cli(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--degree", "3"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert first[0] == 0
+    assert run_cli(argv, capsys) == first
+
+
 def test_undecodable_file_exit_2(tmp_path, capsys):
     path = tmp_path / "latin1.edges"
     path.write_bytes(b"a b\n\xff c\n")
@@ -191,6 +204,28 @@ def test_verify_json_schema(k3_file, capsys):
     names = [c["name"] for c in payload["checks"]]
     assert "phi-degree-1" in names
     assert any(n.startswith("mayer-vietoris-pivot-") for n in names)
+
+
+def test_verify_splits_g_once(tmp_path, capsys, monkeypatch):
+    # each split piece has fewer edges than g, so g's split is the one of
+    # 12 letters
+    g = next(h for h in representatives(6) if h.n_edges == 12)
+    path = tmp_path / "g.edges"
+    path.write_text(glcs.to_edge_list(g))
+    split = glcs.holonomy._components
+    letters = []
+
+    def counted(vertices, pairs):
+        letters.append(len(vertices))
+        return split(vertices, pairs)
+
+    monkeypatch.setattr(glcs.holonomy, "_components", counted)
+    glcs.holonomy._blocks.cache_clear()
+    code, out, _ = run_cli(["verify", "--input", str(path)], capsys)
+    assert code == 0
+    assert "mayer-vietoris" in out
+    assert letters.count(12) == 1
+    assert len(letters) > 1
 
 
 def test_verify_feasibility_exit_4(tmp_path, capsys):

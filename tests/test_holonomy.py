@@ -4,6 +4,7 @@ The Lyndon-basis tests exercise the reference oracle in reference.py.
 """
 
 import copy
+import functools
 import math
 import os
 import random
@@ -349,19 +350,31 @@ def test_graded_dims_triangle():
 
 
 def test_graded_dims_extends_cached_state():
-    holonomy._STATE_CACHE.clear()
+    holonomy._blocks.cache_clear()
     p = presentation(complete_graph(4))
     first = graded_dims(p, 2)
     assert first.quotient_dims == (6, 4)
-    state = holonomy._cokernels(p)
+    state = holonomy._blocks(p)[0][1]
     assert state.dims == [1, 6, 25]
     extended = graded_dims(p, 4)
     assert extended.quotient_dims == (6, 4, 10, 21)
     assert state.dims == [1, 6, 25, 90, 301]
     # an equal presentation made anew extends the same state
     assert phi_bruteforce(complete_graph(4), 5) == (6, 4, 10, 21, 54)
-    assert list(holonomy._STATE_CACHE.values()) == [state]
+    assert holonomy._blocks.cache_info().currsize == 1
+    assert holonomy._blocks(p)[0][1] is state
     assert len(state.dims) == 6
+
+
+def test_graded_dims_splits_a_presentation_once():
+    holonomy._blocks.cache_clear()
+    g = _k4_triangle_pendant()
+    for k in range(1, 5):
+        graded_dims(presentation(g), k)
+    # an equal graph made anew finds the same split
+    want = phi_from_exponents(graphic_exponents(clique_vector(g)), 4)
+    assert phi_bruteforce(_k4_triangle_pendant(), 4) == want
+    assert holonomy._blocks.cache_info().misses == 1
 
 
 def test_phi_bruteforce_matches_formula_on_complete_graphs():
@@ -419,16 +432,36 @@ def test_blocks_are_triangle_connected_classes():
     assert [letters for letters, _ in blocks] == [
         (1, 2, 3, 5, 6, 7), (4,), (8, 9, 10)
     ]
-    assert [q for _, q in blocks] == [
-        presentation(complete_graph(4)),
-        holonomy.HolonomyPresentation(1, ()),
-        presentation(complete_graph(3)),
+    # each block's relators, re-indexed from 1, term by term
+    want = [
+        holonomy._Cokernels(q.num_generators, q.relators)
+        for q in (
+            presentation(complete_graph(4)),
+            holonomy.HolonomyPresentation(1, ()),
+            presentation(complete_graph(3)),
+        )
     ]
+    assert [(s.m, s.terms) for _, s in blocks] == [(s.m, s.terms) for s in want]
     want = phi_from_exponents(graphic_exponents(clique_vector(g)), 5)
     assert phi_bruteforce(g, 5) == want
     dims = graded_dims(presentation(g), 5)
     assert dims.free_dims == tuple(witt_dimension(10, k) for k in range(1, 6))
     assert dims.ideal_dims == tuple(f - q for f, q in zip(dims.free_dims, want))
+
+
+def test_equal_blocks_share_one_state():
+    # two triangles at a vertex, then a path of two edges
+    g = graph_from_edges(
+        [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6)]
+    )
+    blocks = holonomy._blocks(presentation(g))
+    assert [letters for letters, _ in blocks] == [
+        (1, 2, 3), (4, 5, 6), (7,), (8,)
+    ]
+    assert blocks[0][1] is blocks[1][1]
+    assert blocks[2][1] is blocks[3][1]
+    want = phi_from_exponents(graphic_exponents(clique_vector(g)), 4)
+    assert phi_bruteforce(g, 4) == want
 
 
 def test_feasibility_entries_sum_over_blocks():
@@ -567,8 +600,8 @@ def test_kernel_generation_holds_its_own_state(monkeypatch):
     g = parse_graph("a b\nb c\na c\nb d\nc d\n")
     sub = g.induced([0, 1, 2])
     expected = verify_kernel_generation(g, sub, 3)
-    monkeypatch.setattr(holonomy, "_STATE_CACHE_SIZE", 1)
-    holonomy._STATE_CACHE.clear()
+    one_entry = functools.lru_cache(maxsize=1)(holonomy._blocks.__wrapped__)
+    monkeypatch.setattr(holonomy, "_blocks", one_entry)
     assert verify_kernel_generation(g, sub, 3) == expected
 
 
@@ -576,17 +609,17 @@ def test_kernel_generation_holds_its_own_state(monkeypatch):
 # bounded state cache
 
 def test_state_cache_is_bounded():
-    bound = holonomy._STATE_CACHE_SIZE
-    holonomy._STATE_CACHE.clear()
+    bound = holonomy._blocks.cache_info().maxsize
+    holonomy._blocks.cache_clear()
     for n in range(1, bound + 4):
-        # n triangles in a strip: one block, so one cache entry per graph
+        # n triangles in a strip: one cache entry per graph
         strip = graph_from_edges(
             [(i, i + 1) for i in range(n + 1)] + [(i, i + 2) for i in range(n)]
         )
         want = phi_from_exponents(graphic_exponents(clique_vector(strip)), 3)
         assert phi_bruteforce(strip, 3) == want
-        assert len(holonomy._STATE_CACHE) <= bound
-    assert len(holonomy._STATE_CACHE) == bound
+        assert holonomy._blocks.cache_info().currsize <= bound
+    assert holonomy._blocks.cache_info().currsize == bound
     # evicted presentations are recomputed from scratch, exactly
     assert phi_bruteforce(complete_graph(4), 4) == (6, 4, 10, 21)
     assert phi_bruteforce(graph_from_edges([(0, 1), (1, 2)]), 3) == (2, 0, 0)

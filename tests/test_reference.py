@@ -128,6 +128,21 @@ def test_orders_and_witness_on_seeded_graphs():
     assert 0 < longer < len(lengths)
 
 
+def test_components_match_breadth_first_search():
+    rng = random.Random(7)
+    # sparse graphs leave isolated vertices, each its own component
+    sparse = [_gnm(rng, n, rng.randint(0, n)) for n in range(1, 31)]
+    assert any(len(c) == 1 for g in sparse for c in reference.components(g))
+    # ids that are not 0..n-1
+    odd_ids = _gnm(random.Random(10), 10, 12).induced([1, 3, 4, 6, 8, 9])
+    assert odd_ids.vertices == (1, 3, 4, 6, 8, 9)
+    for n in range(7):
+        for g in representatives(n):
+            assert g.components() == reference.components(g)
+    for g in sparse + [odd_ids]:
+        assert g.components() == reference.components(g)
+
+
 def _subgraph_pairs(g, rng):
     for v in g.vertices:
         g1, g2, seam = split_at_vertex(g, v)
