@@ -89,11 +89,16 @@ class _Echelon:
     def insert(self, row: dict[int, int]) -> bool:
         """Reduce a row against the basis; add it if independent.
 
-        One working copy of the row is reduced in place.  Both the working
-        row and the stored rows hold no zeros, so an update that gives zero
-        always names a key already in the working row.
+        The row may hold zeros; it is copied without them and left alone.
         """
-        work = {k: c for k, c in row.items() if c}
+        return self._absorb({k: c for k, c in row.items() if c})
+
+    def _absorb(self, work: dict[int, int]) -> bool:
+        """insert for a fresh row with no zeros, reduced in place, no copy.
+
+        Both work and the stored rows hold no zeros, so an update that
+        gives zero always names a key already in work.
+        """
         pivots = self.pivots
         while work:
             lead = min(work)
@@ -246,7 +251,8 @@ class _Cokernels:
     A_k = coker(R ⊗ A_{k-2} -> V ⊗ A_{k-1}): column a * dims[k-1] + f of
     degree k stands for x_a times basis element f of A_{k-1}, and relator
     r = sum c_ab x_a x_b with basis element g of A_{k-2} gives the row
-    sum c_ab e_a ⊗ mu[k-1](x_b ⊗ g).  The free columns of the degree-k
+    sum c_ab e_a ⊗ mu[k-1](x_b ⊗ g), built by _row as the working row that
+    _Echelon._absorb reduces in place.  The free columns of the degree-k
     echelon are the basis of A_k.  mu[k] maps each column of degree k to
     its normal form in A_k, as (denominator, ((basis index, numerator),
     ...)); it is built from the echelon only when asked for.  The relators
@@ -279,7 +285,7 @@ class _Cokernels:
         free columns and mu[k], does not depend on the order rows arrive
         in; short rows first leave less fill-in on the way.  Only one int
         per row is held, key * rows + row number; each row is built when
-        it is inserted.
+        it is inserted, from terms shifted once to (a * width, b * below, c).
         """
         k = len(self.dims)
         mu = self.normal_form(k - 1)
@@ -295,12 +301,11 @@ class _Cokernels:
             first = r * below
             order.extend(key * rows + first + g for g, key in enumerate(keys))
         order.sort()
+        shifted = [[(a * width, b * below, c) for a, b, c in t] for t in self.terms]
         ech = _Echelon()
         for x in order:
             r, g = divmod(x % rows, below)
-            ech.insert(
-                _image([(a, b * below + g, c) for a, b, c in self.terms[r]], mu, width)
-            )
+            ech._absorb(_row(shifted[r], g, mu))
         self.dims.append(self.m * width - ech.rank)
         self.top = ech
 
@@ -327,21 +332,22 @@ class _Cokernels:
         return mu
 
 
-def _image(terms, mu, width: int) -> dict[int, int]:
-    """An integer multiple of sum c * e_a ⊗ mu[col] over terms (a, col, c).
+def _row(terms, g: int, mu) -> dict[int, int]:
+    """An integer multiple of sum c * e_a ⊗ mu[col + g] over terms (base, col, c).
 
-    e_a ⊗ (basis element f) is column a * width + f; with a = 0 and width
-    0 this is the normal form of sum c * e_col.
+    base is a times the width of mu's basis, so e_a ⊗ (basis element f) is
+    column base + f; with every base 0 this is the normal form of
+    sum c * e_(col + g).  The row is fresh and holds no zeros.
     """
     den = 1
     for _, col, _ in terms:
-        d = mu[col][0]
-        den = den * d // gcd(den, d)
+        d = mu[col + g][0]
+        if d != 1:
+            den = den * d // gcd(den, d)
     row: dict[int, int] = {}
-    for a, col, c in terms:
-        d, vec = mu[col]
+    for base, col, c in terms:
+        d, vec = mu[col + g]
         scale = c * (den // d)
-        base = a * width
         for f, num in vec:
             key = base + f
             n = row.get(key, 0) + scale * num
@@ -630,7 +636,7 @@ def verify_kernel_generation(
                 for vec in span:
                     # the normal form of x_a * vec, in A_k
                     terms = [(0, a * width + f, c) for f, c in vec.items()]
-                    ech.insert(_image(terms, mu, 0))
+                    ech._absorb(_row(terms, 0, mu))
             span = list(ech.pivots.values())
             dims.append(ech.rank)
         spanned = list(map(add, spanned, _pbw_ranks(dims)))

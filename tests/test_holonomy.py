@@ -255,9 +255,14 @@ def test_echelon_row_order_does_not_matter(seed):
         other = _Echelon()
         for row in shuffled:
             other.insert(row)
-        assert other.rank == ech.rank
-        assert other.pivots.keys() == ech.pivots.keys()
-        assert other.back_reduced() == reduced
+        # _absorb takes over zero-free copies and reduces them in place
+        absorbed = _Echelon()
+        for row in shuffled:
+            absorbed._absorb({j: c for j, c in row.items() if c})
+        for built in (other, absorbed):
+            assert built.rank == ech.rank
+            assert built.pivots.keys() == ech.pivots.keys()
+            assert built.back_reduced() == reduced
 
 
 def test_echelon_stored_rows_never_change():
@@ -544,6 +549,68 @@ def test_enveloping_series_times_u_is_one():
                 h = h * TruncatedSeries(k, tuple(state.dims[: k + 1]))
             u = expand_product(graphic_exponents(clique_vector(g)), k)
             assert h * u == one(k), (n, g.edges)
+
+
+def _random_presentation(rng):
+    """3 to 5 letters; each relator up to three commutators, coefficients ±1..±3."""
+    m = rng.randint(3, 5)
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    relators = tuple(
+        tuple(
+            sorted(
+                (pair, rng.choice([-3, -2, -1, 1, 2, 3]))
+                for pair in rng.sample(pairs, rng.randint(1, 3))
+            )
+        )
+        for _ in range(rng.randint(1, m))
+    )
+    return holonomy.HolonomyPresentation(m, relators)
+
+
+def _check_normal_forms(p, up_to):
+    """mu_k, read in fractions, kills R ⊗ A_{k-2} and fixes the free columns.
+
+    For every relator r = sum c [x_i, x_j], basis element g of A_{k-2} and
+    degree k <= up_to, the element sum c x_a ⊗ mu_{k-1}(x_b g) of the
+    expanded commutators is pushed through mu_k and must give zero; the
+    j-th free column of the degree-k echelon must map to basis element j.
+    """
+    m = p.num_generators
+    state = holonomy._Cokernels(m, p.relators)
+
+    def nf(k, col):
+        den, vec = state.mu[k][col]
+        return {f: Fraction(num, den) for f, num in vec}
+
+    for k in range(2, up_to + 1):
+        state.extend()
+        pivots = set(state.top.pivots)
+        state.normal_form(k)
+        below, width = state.dims[k - 2], state.dims[k - 1]
+        free = [col for col in range(m * width) if col not in pivots]
+        assert len(free) == state.dims[k]
+        for basis, col in enumerate(free):
+            assert nf(k, col) == {basis: 1}, (p, k, col)
+        for rel in p.relators:
+            for g in range(below):
+                total = {}
+                for (i, j), c in rel:
+                    # c [x_i, x_j] = c x_i x_j - c x_j x_i, letters from 0
+                    for a, b, s in ((i - 1, j - 1, c), (j - 1, i - 1, -c)):
+                        for f, q in nf(k - 1, b * below + g).items():
+                            for h, v in nf(k, a * width + f).items():
+                                total[h] = total.get(h, 0) + s * q * v
+                assert not any(total.values()), (p, k, rel, g)
+
+
+def test_normal_forms_kill_relators_and_fix_free_columns():
+    # graded_dims compares only dimensions, which a wrong denominator in a
+    # normal form can leave unchanged
+    rng = random.Random(2024)
+    for _ in range(60):
+        _check_normal_forms(_random_presentation(rng), 4)
+    for n in (4, 5):
+        _check_normal_forms(presentation(complete_graph(n)), 4)
 
 
 # ---------------------------------------------------------------------------
