@@ -346,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="D", help="brute-force degree (default 4)")
             sp.add_argument("--max-dim", type=_positive_int, default=None,
                             metavar="CAP",
-                            help="cap on the free Lie dimension of the "
-                                 "brute force, summed over its blocks "
-                                 f"(default {DEFAULT_MAX_DIM})")
+                            help="cap on the width of each degree of the "
+                                 "brute force, its matrix columns summed over "
+                                 f"its blocks (default {DEFAULT_MAX_DIM})")
     return parser
 
 

@@ -9,7 +9,9 @@ Poincare-Birkhoff-Witt identity sum dim A_k t^k = prod_k (1 - t^k)^(-phi_k).
 Edges that share no triangle commute, so h is the direct product of the
 holonomy algebras of its blocks, the triangle-connected classes of edges:
 each block gets its own cokernels, cached per presentation, and the ranks
-add.  Each degree's rows are inserted shortest first, which changes the
+add.  The one size gate is the width of degree k, the column count
+m * dim A_{k-1} summed over the blocks, known exactly before degree k is
+built.  Each degree's rows are inserted shortest first, which changes the
 fill-in along the way but not the reduced echelon form.  No Lie word is ever
 formed.  No floating point and no modular shortcuts: ranks are certified
 over the rationals.
@@ -39,11 +41,9 @@ __all__ = [
     "verify_mayer_vietoris",
     "verify_kernel_generation",
     "DEFAULT_MAX_DIM",
-    "DEFAULT_MAX_ENTRIES",
 ]
 
 DEFAULT_MAX_DIM = 200_000
-DEFAULT_MAX_ENTRIES = 50_000_000
 
 
 def witt_dimension(m: int, k: int) -> int:
@@ -418,31 +418,29 @@ def _block_states(
 ) -> tuple:
     """(letters, cokernels) of each block of p, built to degree up_to.
 
-    Both caps are on sums over the blocks, since the work is done per
-    block: the free Lie dimension of each block's letters, and the dense
-    size of each block's degree-k matrix (counted for k >= 3).  They are
-    checked at every degree, even when it is already cached, so the
-    outcome does not depend on what earlier calls computed.  The caller
-    holds the states returned, so a later call that evicts p from the
-    cache does not cost it their echelons.
+    max_dim caps the width of each degree k >= 2, the column count
+    m * dim A_{k-1} of the blocks' degree-k matrices, summed; max_entries,
+    if given, their dense size for k >= 3.  The caps are checked at every
+    degree, even when it is already cached, so the outcome does not depend
+    on what earlier calls computed.  The caller holds the states returned,
+    so a later call that evicts p from the cache does not cost it their
+    echelons.
     """
     if up_to < 1:
         raise ValueError("up_to must be >= 1")
     if max_dim is None:
         max_dim = DEFAULT_MAX_DIM
-    if max_entries is None:
-        max_entries = DEFAULT_MAX_ENTRIES
     blocks = _blocks(p)
     for k in range(2, up_to + 1):
-        wd = sum(witt_dimension(s.m, k) for _, s in blocks)
-        if wd > max_dim:
+        width = sum(s.m * s.dims[k - 1] for _, s in blocks)
+        if width > max_dim:
             raise FeasibilityError(
-                f"free Lie dimension {wd} at degree {k}, summed over the "
-                f"blocks, exceeds the cap {max_dim}; lower the degree or "
-                f"raise max_dim (--max-dim)",
-                dimension=wd,
+                f"width {width} of degree {k} (matrix columns, summed over "
+                f"the blocks) exceeds the cap {max_dim}; lower the degree "
+                f"or raise max_dim (--max-dim)",
+                dimension=width,
             )
-        if k >= 3:
+        if max_entries is not None and k >= 3:
             entries = sum(
                 len(s.terms) * s.dims[k - 2] * s.m * s.dims[k - 1]
                 for _, s in blocks
@@ -488,14 +486,13 @@ def graded_dims(
     presentation, and the Lie ranks phi_k are read off their dimensions
     through PBW and added over the blocks.  The free dimensions are the
     Witt dimensions of the whole presentation and the ideal dimensions
-    their difference from phi.  Work beyond the caps raises
-    FeasibilityError instead of grinding: a free Lie dimension above
-    max_dim (default DEFAULT_MAX_DIM), or more than max_entries (default
-    DEFAULT_MAX_ENTRIES) entries in the dense degree-k matrices, counted
-    for k >= 3; both are summed over the blocks, each block's dimension
-    being the Witt dimension of its own letters.  The blocks' cokernels of
-    the 4 most recently used presentations are cached and extended on
-    demand.
+    their difference from phi.  A request whose width at some degree, the
+    column count of that degree's matrices summed over the blocks, exceeds
+    max_dim (default DEFAULT_MAX_DIM) raises FeasibilityError instead of
+    grinding.  max_entries, when given, also caps their dense size; it stays
+    in the signatures only because the benchmark (bench/worker.py,
+    bench/spans.py) passes it.  The blocks' cokernels of the 4 most
+    recently used presentations are cached and extended on demand.
     """
     phi = _peeled_ranks(_block_states(p, up_to, max_dim, max_entries), up_to)
     free = [witt_dimension(p.num_generators, k) for k in range(1, up_to + 1)]

@@ -229,16 +229,39 @@ def test_verify_splits_g_once(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_feasibility_exit_4(tmp_path, capsys):
-    path = tmp_path / "k6.edges"
+    # K9 at degree 4: 36 letters times dim A_3 = 11880 columns
+    path = tmp_path / "k9.edges"
     edges = [
-        f"{i} {j}" for i in range(6) for j in range(i + 1, 6)
+        f"{i} {j}" for i in range(9) for j in range(i + 1, 9)
     ]
     path.write_text("\n".join(edges) + "\n")
     code, _, err = run_cli(
         ["verify", "--input", str(path), "--oracle-degree", "4"], capsys
     )
     assert code == 4
-    assert "lower the degree" in err
+    assert "width 427680 of degree 4" in err
+    assert "cap 200000" in err
+    assert "lower the degree or raise max_dim (--max-dim)" in err
+
+
+@pytest.mark.parametrize("n_edges", [13, 14, 15])
+def test_verify_dense_six_vertex_classes_pass(tmp_path, capsys, n_edges):
+    # K6, K6 minus an edge and the two classes with 13 edges are well
+    # within the width gate at degree 4
+    graphs = [g for g in representatives(6) if g.n_edges == n_edges]
+    assert len(graphs) == (2 if n_edges == 13 else 1)
+    for g in graphs:
+        path = tmp_path / "g.edges"
+        path.write_text(glcs.to_edge_list(g))
+        code, out, _ = run_cli(
+            ["verify", "--input", str(path), "--oracle-degree", "4",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 4 + 6
+        assert all(c["pass"] for c in checks)
 
 
 def test_verify_max_dim_flag(k3_file, capsys):

@@ -482,13 +482,16 @@ def test_feasibility_entries_sum_over_blocks():
 
 
 def test_phi_bruteforce_degree5_hot_spot():
+    # one block each; the width of degree 5 is m * dim A_4: 10 * 1701 for
+    # K5, 9 * 1039 for K5 minus an edge, both within the default cap
     k5 = complete_graph(5)
     k5_minus_e = graph_from_edges([e for e in k5.edges if e != (3, 4)])
-    for g in (k5, k5_minus_e):
+    for g, width in ((k5, 17010), (k5_minus_e, 9351)):
         want = phi_from_exponents(graphic_exponents(clique_vector(g)), 5)
-        assert phi_bruteforce(g, 5, max_dim=10**9, max_entries=10**12) == want
-        with pytest.raises(FeasibilityError):
-            phi_bruteforce(g, 5)
+        assert phi_bruteforce(g, 5) == want
+        with pytest.raises(FeasibilityError) as exc:
+            phi_bruteforce(g, 5, max_dim=width - 1)
+        assert exc.value.dimension == width
 
 
 def test_phi_bruteforce_single_edge():
@@ -498,19 +501,43 @@ def test_phi_bruteforce_single_edge():
 def test_feasibility_dimension_cap():
     with pytest.raises(FeasibilityError) as exc:
         phi_bruteforce(complete_graph(3), 3, max_dim=5)
-    assert exc.value.dimension == 8
+    # refused at degree 2, whose width is m * dim A_1 = 3 * 3 columns
+    assert exc.value.dimension == 9
     assert "raise max_dim (--max-dim)" in str(exc.value)
     assert phi_bruteforce(complete_graph(3), 3, max_dim=100) == (3, 1, 2)
 
 
 def test_feasibility_dimension_sums_over_blocks():
-    # degree 2: W(6, 2) + W(1, 2) + W(3, 2) = 15 + 0 + 3 for the K4, the
-    # pendant edge and the triangle, not W(10, 2) = 45 for all ten edges
+    # degree 2: the width m * dim A_1 = m^2 is 36 + 1 + 9 for the K4, the
+    # pendant edge and the triangle, not 100 for all ten edges
     g = _k4_triangle_pendant()
     with pytest.raises(FeasibilityError) as exc:
-        phi_bruteforce(g, 2, max_dim=17)
-    assert exc.value.dimension == 18
-    assert phi_bruteforce(g, 2, max_dim=18) == (10, 5)
+        phi_bruteforce(g, 2, max_dim=45)
+    assert exc.value.dimension == 46
+    assert phi_bruteforce(g, 2, max_dim=46) == (10, 5)
+
+
+def test_gate_width_is_the_column_count():
+    # the width the gate reads at degree k is the number of columns of the
+    # degree-k matrices, one normal form per column, summed over the blocks
+    graphs = [_k4_triangle_pendant(), complete_graph(5)]
+    graphs += [g for g in representatives(5) if g.n_edges in (4, 7)]
+    for g in graphs:
+        p = presentation(g)
+        blocks = holonomy._block_states(p, 4, None, None)
+        widths = [
+            sum(len(s.normal_form(k)) for _, s in blocks) for k in range(1, 5)
+        ]
+        for _, s in blocks:
+            for k in range(1, 5):
+                assert s.m * s.dims[k - 1] == len(s.normal_form(k))
+        for k in range(2, 5):
+            with pytest.raises(FeasibilityError) as exc:
+                holonomy._block_states(p, k, widths[k - 1] - 1, None)
+            assert exc.value.dimension == widths[k - 1]
+            # the dense size is counted only when max_entries is passed
+            assert exc.value.entries is None
+            holonomy._block_states(p, k, widths[k - 1], None)
 
 
 def test_long_cycle_passes_the_default_caps():
@@ -533,7 +560,7 @@ def test_phi_bruteforce_ignores_env_cap(monkeypatch, value):
     assert phi_bruteforce(complete_graph(3), 3) == (3, 1, 2)
     with pytest.raises(FeasibilityError) as exc:
         phi_bruteforce(complete_graph(3), 3, max_dim=5)
-    assert exc.value.dimension == 8
+    assert exc.value.dimension == 9
 
 
 def test_enveloping_series_times_u_is_one():
