@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
 )
 from .formula import (
+    _decomposable,
     _fold,
     _poincare_from_chromatic,
     chordal_chromatic,
@@ -168,7 +169,7 @@ def cmd_classify(args: argparse.Namespace):
     kappa = clique_vector(g)
     chordal, witness = is_chordal(g)
     witness_kind = "elimination-order" if chordal else "chordless-cycle"
-    decomposable = len(kappa) <= 3 or kappa[3] == 0
+    decomposable = _decomposable(kappa)
     payload = {
         "kappa": _ints(kappa),
         "chordal": chordal,

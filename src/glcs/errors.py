@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "GlcsError",
+    "ParseError",
+    "IntegralityError",
+    "FeasibilityError",
+    "NotDecomposableError",
+    "MismatchError",
+]
+
 
 class GlcsError(Exception):
     """Base class for all package errors."""

@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     DecompositionTree,
     Node,
+    _rank2_flats,
     clique_vector,
     decompose,
 )
@@ -173,23 +174,18 @@ def braid_series(n: int, order: int) -> TruncatedSeries:
 def rank2_flats(g: Graph) -> tuple[Flat2, ...]:
     """All rank-2 flats of the graphic arrangement.
 
-    Triangles give three-hyperplane flats with mu = 2; pairs of edges lying
-    in no common triangle give two-hyperplane flats with mu = 1.  Two edges
-    share a flat with a third exactly when they span a triangle, so the
-    count is kappa_2 + C(kappa_1, 2) - 3*kappa_2.
+    Triangles give three-hyperplane flats with mu = 2, in the order
+    g.triangles() yields them; then the pairs of edges lying in no common
+    triangle give two-hyperplane flats with mu = 1, in increasing order.
+    Two edges share a flat with a third exactly when they span a triangle,
+    so the count is kappa_2 + C(kappa_1, 2) - 3*kappa_2.
     """
-    flats = []
-    triangle_pairs = set()
-    for a, b, c in g.triangles():
-        idx = (g.edge_index(a, b), g.edge_index(a, c), g.edge_index(b, c))
-        flats.append(Flat2(frozenset(idx), 2))
-        for pair in itertools.combinations(sorted(idx), 2):
-            triangle_pairs.add(pair)
-    m = g.n_edges
-    for pair in itertools.combinations(range(1, m + 1), 2):
-        if pair not in triangle_pairs:
-            flats.append(Flat2(frozenset(pair), 1))
-    return tuple(flats)
+    return tuple(Flat2(frozenset(f), len(f) - 1) for f in _rank2_flats(g))
+
+
+def _decomposable(kappa: tuple[int, ...]) -> bool:
+    """No K_4 in a graph of clique vector kappa: a decomposable arrangement."""
+    return len(kappa) <= 3 or kappa[3] == 0
 
 
 def decomposable_series(g: Graph, order: int) -> TruncatedSeries:
@@ -200,7 +196,7 @@ def decomposable_series(g: Graph, order: int) -> TruncatedSeries:
     when the graph has no K_4; NotDecomposableError otherwise.
     """
     kappa = clique_vector(g)
-    if len(kappa) > 3 and kappa[3]:
+    if not _decomposable(kappa):
         raise NotDecomposableError(f"graph has {kappa[3]} K_4 subgraphs")
     b1 = kappa[1] if len(kappa) > 1 else 0
     exps: dict[int, int] = {1: b1}

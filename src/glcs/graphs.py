@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 
 from .errors import MismatchError, ParseError
 
@@ -306,6 +306,21 @@ def _peel(g: Graph, start: Callable[[int], int]) -> Iterator[int]:
             if w in key:
                 key[w] -= 1
                 heapq.heappush(heap, (key[w], w))
+
+
+def _rank2_flats(g: Graph) -> list[tuple[int, ...]]:
+    """Edge indices of each rank-2 flat of the graphic arrangement.
+
+    First the increasing triple a < b < c of each triangle, in the order
+    g.triangles() yields them, then each pair i < j of edges that span no
+    triangle, in increasing order.  Two edges lie in a flat with a third
+    exactly when they span a triangle.
+    """
+    idx = g._edge_index
+    flats = [(idx[u, v], idx[u, w], idx[v, w]) for u, v, w in g.triangles()]
+    spanned = {pair for tri in flats for pair in combinations(tri, 2)}
+    pairs = combinations(range(1, g.n_edges + 1), 2)
+    return flats + [pair for pair in pairs if pair not in spanned]
 
 
 # ---------------------------------------------------------------------------

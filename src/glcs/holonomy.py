@@ -26,7 +26,13 @@ from math import gcd
 from operator import add
 
 from .errors import FeasibilityError, MismatchError
-from .graphs import Graph, _components, is_triangle_complete, split_at_vertex
+from .graphs import (
+    Graph,
+    _components,
+    _rank2_flats,
+    is_triangle_complete,
+    split_at_vertex,
+)
 from .series import expand_lcs_product, moebius
 
 __all__ = [
@@ -210,30 +216,24 @@ class HolonomyPresentation:
 
 
 def presentation(g: Graph) -> HolonomyPresentation:
-    """Presentation with one generator per edge.
+    """Presentation with one generator per edge, read off the rank-2 flats.
 
-    Edge pairs spanning no triangle commute.  Each triangle with edge
-    indices a < b < c contributes the two relators [x_a, x_b + x_c] and
-    [x_b, x_a + x_c]; the third such bracket is a linear combination of
+    The flats are those rank2_flats returns.  First each two-edge flat
+    {i, j}, in increasing order, gives the commutator [x_i, x_j]; then
+    each triangle with edge indices a < b < c, in the order g.triangles()
+    yields them, gives the two relators [x_a, x_b + x_c] and
+    [x_b, x_a + x_c].  The third such bracket is a linear combination of
     these, so it is omitted.
     """
-    m = g.n_edges
-    triangle_pairs: set[tuple[int, int]] = set()
-    triangle_relators = []
-    for tri in sorted(g.triangles()):
-        u, v, w = tri
-        a, b, c = sorted(
-            (g.edge_index(u, v), g.edge_index(u, w), g.edge_index(v, w))
-        )
-        triangle_pairs.update([(a, b), (a, c), (b, c)])
-        triangle_relators.append((((a, b), 1), ((a, c), 1)))
-        triangle_relators.append((((a, b), -1), ((b, c), 1)))
-    commuting = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            if (i, j) not in triangle_pairs:
-                commuting.append((((i, j), 1),))
-    return HolonomyPresentation(m, tuple(commuting + triangle_relators))
+    commuting, triangle_relators = [], []
+    for flat in _rank2_flats(g):
+        if len(flat) == 2:
+            commuting.append(((flat, 1),))
+        else:
+            a, b, c = flat
+            triangle_relators.append((((a, b), 1), ((a, c), 1)))
+            triangle_relators.append((((a, b), -1), ((b, c), 1)))
+    return HolonomyPresentation(g.n_edges, tuple(commuting + triangle_relators))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Each follows its definition directly, with no shared search or shortcut, so
 the faster versions in glcs are tested for identical results against them.
 The holonomy oracle at the end is the package's earlier one, in the Lyndon
-basis of the free Lie algebra; it shares only the exact echelon with glcs.
+basis of the free Lie algebra; it takes its presentation from the
+reference above and shares only the exact echelon with glcs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import collections
 import itertools
 
 from glcs import (
+    Flat2,
     GradedDims,
     Graph,
     HolonomyPresentation,
@@ -19,7 +21,6 @@ from glcs import (
     Leaf,
     MismatchError,
     Node,
-    presentation,
     witt_dimension,
 )
 from glcs.holonomy import KernelGenerationRow, _Echelon
@@ -230,6 +231,52 @@ def expand_lcs_product(phi, order: int) -> TruncatedSeries:
         coeffs[k] = -1
         result = result * TruncatedSeries(order, tuple(coeffs)) ** p
     return result
+
+
+def rank2_flats(g: Graph) -> tuple[Flat2, ...]:
+    """All rank-2 flats of the graphic arrangement, triangles first.
+
+    Triangles give three-hyperplane flats with mu = 2; pairs of edges lying
+    in no common triangle give two-hyperplane flats with mu = 1.
+    """
+    flats = []
+    triangle_pairs = set()
+    for a, b, c in g.triangles():
+        idx = (g.edge_index(a, b), g.edge_index(a, c), g.edge_index(b, c))
+        flats.append(Flat2(frozenset(idx), 2))
+        for pair in itertools.combinations(sorted(idx), 2):
+            triangle_pairs.add(pair)
+    m = g.n_edges
+    for pair in itertools.combinations(range(1, m + 1), 2):
+        if pair not in triangle_pairs:
+            flats.append(Flat2(frozenset(pair), 1))
+    return tuple(flats)
+
+
+def presentation(g: Graph) -> HolonomyPresentation:
+    """Presentation with one generator per edge, commuting pairs first.
+
+    Edge pairs spanning no triangle commute.  Each triangle with edge
+    indices a < b < c contributes the two relators [x_a, x_b + x_c] and
+    [x_b, x_a + x_c].
+    """
+    m = g.n_edges
+    triangle_pairs: set[tuple[int, int]] = set()
+    triangle_relators = []
+    for tri in sorted(g.triangles()):
+        u, v, w = tri
+        a, b, c = sorted(
+            (g.edge_index(u, v), g.edge_index(u, w), g.edge_index(v, w))
+        )
+        triangle_pairs.update([(a, b), (a, c), (b, c)])
+        triangle_relators.append((((a, b), 1), ((a, c), 1)))
+        triangle_relators.append((((a, b), -1), ((b, c), 1)))
+    commuting = []
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            if (i, j) not in triangle_pairs:
+                commuting.append((((i, j), 1),))
+    return HolonomyPresentation(m, tuple(commuting + triangle_relators))
 
 
 # ---------------------------------------------------------------------------

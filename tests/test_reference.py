@@ -9,6 +9,8 @@ parent must be the one its own edges give.  Deletion-contraction must give
 the chromatic polynomial of Whitney's expansion over edge subsets.
 The shortest-hole search checks the chordality answer and that no witness
 is shorter than a shortest hole.
+The rank-2 flats and the holonomy presentation read off them must be the
+reference's, flat for flat and relator for relator, in the same order.
 The holonomy oracle, which works in the enveloping algebra, must give the
 same graded dimensions and kernel-generation reports as the Lyndon-basis
 oracle.
@@ -24,6 +26,7 @@ from glcs import (
     Node,
     chromatic_polynomial,
     clique_vector,
+    complete_graph,
     decompose,
     graded_dims,
     graph_from_edges,
@@ -32,6 +35,7 @@ from glcs import (
     is_triangle_complete,
     phi_from_exponents,
     presentation,
+    rank2_flats,
     split_at_vertex,
     verify_kernel_generation,
 )
@@ -258,6 +262,23 @@ def test_expand_lcs_product_degree_60_of_a_150_vertex_graph():
     phi = _sparse_phi(60)
     assert max(phi) > 10**15
     assert expand_lcs_product(phi, 60) == reference.expand_lcs_product(phi, 60)
+
+
+def test_flats_and_presentation_match_reference():
+    graphs = [g for n in range(7) for g in representatives(n)]
+    assert len(graphs) == 209
+    for g in graphs + [complete_graph(7)]:
+        flats = rank2_flats(g)
+        want = reference.rank2_flats(g)
+        assert len(flats) == len(want)
+        for got, flat in zip(flats, want):
+            assert got == flat
+        relators = presentation(g).relators
+        p = reference.presentation(g)
+        assert len(relators) == len(p.relators)
+        for got, rel in zip(relators, p.relators):
+            assert got == rel
+        assert presentation(g) == p
 
 
 def test_graded_dims_matches_reference_on_every_6_vertex_class():
