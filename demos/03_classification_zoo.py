@@ -6,7 +6,24 @@ Chordality (equivalently, supersolvability of the arrangement) and
 decomposability for a small zoo of graphs, with witnesses.
 """
 
-from glcs import Graph, clique_vector, complete_graph, graph_from_edges, is_chordal
+from glcs import (
+    NotDecomposableError,
+    clique_vector,
+    complete_graph,
+    decomposable_series,
+    graph_from_edges,
+    is_chordal,
+)
+
+
+def is_decomposable(g) -> bool:
+    """No K4: the package's own test, the one decomposable_series applies."""
+    try:
+        decomposable_series(g, 1)
+    except NotDecomposableError:
+        return False
+    return True
+
 
 ZOO = [
     ("triangle", complete_graph(3)),
@@ -46,7 +63,7 @@ ZOO = [
 for name, g in ZOO:
     kappa = clique_vector(g)
     chordal, witness = is_chordal(g)
-    decomposable = len(kappa) <= 3  # no K4 and beyond
+    decomposable = is_decomposable(g)
     print(f"{name}: kappa = {kappa}")
     if chordal:
         # witness is a perfect elimination ordering

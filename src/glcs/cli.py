@@ -73,6 +73,41 @@ def _graph_json(g: Graph) -> dict:
     }
 
 
+def _json_chunks(value):
+    """The text of json.dumps(value, indent=2), in pieces, without recursion.
+
+    So no depth is too deep, and the text is never held whole.  Dicts,
+    lists and tuples are laid out here as json.dumps lays them out; keys,
+    which are strings, and scalars are written by json.dumps itself.
+    """
+    todo: list = [(0, value)]  # (depth, value) to write, or text as it is
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            yield item
+            continue
+        depth, value = item
+        if isinstance(value, dict):
+            brackets = "{}"
+            entries = [(json.dumps(k) + ": ", v) for k, v in value.items()]
+        elif isinstance(value, (list, tuple)):
+            brackets = "[]"
+            entries = [("", v) for v in value]
+        else:
+            yield json.dumps(value)
+            continue
+        if not entries:
+            yield brackets
+            continue
+        yield brackets[0]
+        todo.append("\n" + "  " * depth + brackets[1])
+        pad = "\n" + "  " * (depth + 1)
+        for i in reversed(range(len(entries))):
+            key, v = entries[i]
+            todo.append((depth + 1, v))
+            todo.append(("," if i else "") + pad + key)
+
+
 def _check(name: str, ok: bool) -> dict:
     return {"name": name, "pass": bool(ok)}
 
@@ -371,7 +406,8 @@ def main(argv=None) -> int:
         return next(c for t, c in exits.items() if isinstance(exc, t))
     try:
         if args.format == "json":
-            print(json.dumps(payload, indent=2))
+            sys.stdout.writelines(_json_chunks(payload))
+            print()
         else:
             print("\n".join(lines))
         sys.stdout.flush()

@@ -8,13 +8,13 @@ R ⊗ A_{k-2} -> V ⊗ A_{k-1}, and reads the Lie ranks off dim A_k through the
 Poincare-Birkhoff-Witt identity sum dim A_k t^k = prod_k (1 - t^k)^(-phi_k).
 Edges that share no triangle commute, so h is the direct product of the
 holonomy algebras of its blocks, the triangle-connected classes of edges:
-each block gets its own cokernels, cached per presentation, and the ranks
-add.  The one size gate is the width of degree k, the column count
-m * dim A_{k-1} summed over the blocks, known exactly before degree k is
-built.  Each degree's rows are inserted shortest first, which changes the
-fill-in along the way but not the reduced echelon form.  No Lie word is ever
-formed.  No floating point and no modular shortcuts: ranks are certified
-over the rationals.
+each block gets its own cokernels, cached by content and so shared with
+every equal block, and the ranks add.  The one size gate is the width of
+degree k, the column count m * dim A_{k-1} summed over the blocks, known
+exactly before degree k is built.  Each degree's rows are inserted shortest
+first, which changes the fill-in along the way but not the reduced echelon
+form.  No Lie word is ever formed.  No floating point and no modular
+shortcuts: ranks are certified over the rationals.
 """
 
 from __future__ import annotations
@@ -371,7 +371,11 @@ def _pbw_ranks(dims) -> tuple[int, ...]:
     return tuple(phi)
 
 
-@lru_cache(maxsize=4)
+# the 4 most recently used blocks' cokernels, keyed by content: enough for
+# g and the pieces of one Mayer-Vietoris pivot
+_state = lru_cache(maxsize=4)(_Cokernels)
+
+
 def _blocks(p: HolonomyPresentation) -> tuple:
     """p's direct factors: (letters, cokernels on them) per block.
 
@@ -382,11 +386,8 @@ def _blocks(p: HolonomyPresentation) -> tuple:
     of theirs.  Blocks come in order of their smallest letter, each
     re-indexed from 1 in increasing order with its relators in p's order;
     the commutators across blocks are dropped.  For presentation(g) the
-    blocks are the triangle-connected classes of edges.
-
-    Cached for the 4 most recently used presentations, by content, so an
-    equal presentation made anew extends the same states: enough for g
-    and the three pieces of one Mayer-Vietoris pivot.
+    blocks are the triangle-connected classes of edges.  Each block's
+    cokernels come from _state, keyed by (m, re-indexed relators).
     """
     m = p.num_generators
     linked = set(combinations(range(1, m + 1), 2))
@@ -407,10 +408,8 @@ def _blocks(p: HolonomyPresentation) -> tuple:
             relators[block_of[rel[0][0][0]]].append(
                 tuple(((index[i], index[j]), c) for (i, j), c in rel)
             )
-    # equal blocks, such as every single letter, share one state
-    keys = [(len(ls), tuple(rels)) for ls, rels in zip(blocks, relators)]
-    states = {key: _Cokernels(*key) for key in keys}
-    return tuple((tuple(ls), states[key]) for ls, key in zip(blocks, keys))
+    keys = zip(map(len, blocks), map(tuple, relators))
+    return tuple((tuple(ls), _state(*key)) for ls, key in zip(blocks, keys))
 
 
 def _block_states(
@@ -423,7 +422,7 @@ def _block_states(
     if given, their dense size for k >= 3.  The caps are checked at every
     degree, even when it is already cached, so the outcome does not depend
     on what earlier calls computed.  The caller holds the states returned,
-    so a later call that evicts p from the cache does not cost it their
+    so a later call that evicts them from _state does not cost it their
     echelons.
     """
     if up_to < 1:
@@ -491,8 +490,8 @@ def graded_dims(
     max_dim (default DEFAULT_MAX_DIM) raises FeasibilityError instead of
     grinding.  max_entries, when given, also caps their dense size; it stays
     in the signatures only because the benchmark (bench/worker.py,
-    bench/spans.py) passes it.  The blocks' cokernels of the 4 most
-    recently used presentations are cached and extended on demand.
+    bench/spans.py) passes it.  The 4 most recently used blocks' cokernels,
+    of any presentation, are cached by content and extended on demand.
     """
     phi = _peeled_ranks(_block_states(p, up_to, max_dim, max_entries), up_to)
     free = [witt_dimension(p.num_generators, k) for k in range(1, up_to + 1)]

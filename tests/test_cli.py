@@ -1,5 +1,6 @@
 """Command-line behavior: schemas, determinism, exit codes."""
 
+import functools
 import itertools
 import json
 import math
@@ -207,20 +208,20 @@ def test_verify_json_schema(k3_file, capsys):
 
 
 def test_verify_splits_g_once(tmp_path, capsys, monkeypatch):
-    # each split piece has fewer edges than g, so g's split is the one of
-    # 12 letters
+    # each split piece has fewer edges than g, so g's one block is the only
+    # state of 12 letters; it is built once and found again at every pivot
     g = next(h for h in representatives(6) if h.n_edges == 12)
     path = tmp_path / "g.edges"
     path.write_text(glcs.to_edge_list(g))
-    split = glcs.holonomy._components
     letters = []
 
-    def counted(vertices, pairs):
-        letters.append(len(vertices))
-        return split(vertices, pairs)
+    def counted(m, relators):
+        letters.append(m)
+        return glcs.holonomy._Cokernels(m, relators)
 
-    monkeypatch.setattr(glcs.holonomy, "_components", counted)
-    glcs.holonomy._blocks.cache_clear()
+    bound = glcs.holonomy._state.cache_info().maxsize
+    fresh = functools.lru_cache(maxsize=bound)(counted)
+    monkeypatch.setattr(glcs.holonomy, "_state", fresh)
     code, out, _ = run_cli(["verify", "--input", str(path)], capsys)
     assert code == 0
     assert "mayer-vietoris" in out
@@ -651,6 +652,74 @@ def test_chromatic_mismatch_exit_5(k3_file, capsys, monkeypatch):
     code, out, _ = run_cli(["chromatic", "--input", k3_file], capsys)
     assert code == 5
     assert "check chordal-product-equals-chromatic: FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+def test_json_chunks_lay_out_as_json_dumps():
+    values = [
+        {}, [], (), 0, -7, True, False, None, "plain", 'é "q"\n\t☃',
+        {"a": [], "b": {}, "c": [[], {}, [[]]]},
+        ("t", ["u", ("v",)]),
+        {"kind": "node", "U": ["1", "-3"], "checks": [{"name": "x", "pass": True}],
+         "chordal_product": None, "ü": {"": [1, [2, {"z": [None]}]]}},
+    ]
+    for value in values:
+        assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2)
+
+
+def test_json_chunks_have_no_depth_limit():
+    def nested(depth):
+        value = "x"
+        for _ in range(depth):
+            value = [value]
+        return value
+
+    def layout(depth):
+        return "\n".join(
+            ["  " * i + "[" for i in range(depth)] + ["  " * depth + '"x"']
+            + ["  " * i + "]" for i in reversed(range(depth))]
+        )
+
+    assert layout(3) == json.dumps(nested(3), indent=2)
+    depth = 5 * sys.getrecursionlimit()
+    assert "".join(cli._json_chunks(nested(depth))) == layout(depth)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_json_output_is_json_dumps(example_file, capsys, command):
+    args = [command, "--input", example_file, "--format", "json"]
+    if command == "verify":
+        args += ["--oracle-degree", "3"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_decompose_json_deeper_than_recursion_limit(tmp_path):
+    # the tree nests one level per node of the path's left chain: 118 levels
+    path = tmp_path / "path.edges"
+    path.write_text("".join(f"p{i} p{i + 1}\n" for i in range(119)))
+    script = (
+        "import sys, glcs.cli\n"
+        "sys.setrecursionlimit(100)\n"
+        "sys.exit(glcs.cli.main(['decompose', '--degree', '3', '--format', "
+        f"'json', '--input', {str(path)!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=_env_with_package(),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert proc.stdout == json.dumps(payload, indent=2) + "\n"
+    depth, node = 0, payload["tree"]
+    while node["kind"] == "node":
+        depth, node = depth + 1, node["left"]
+    assert depth == 118
+    assert payload["checks"] == [{"name": "glued-equals-direct", "pass": True}]
 
 
 # ---------------------------------------------------------------------------

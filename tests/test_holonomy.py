@@ -355,7 +355,7 @@ def test_graded_dims_triangle():
 
 
 def test_graded_dims_extends_cached_state():
-    holonomy._blocks.cache_clear()
+    holonomy._state.cache_clear()
     p = presentation(complete_graph(4))
     first = graded_dims(p, 2)
     assert first.quotient_dims == (6, 4)
@@ -366,20 +366,40 @@ def test_graded_dims_extends_cached_state():
     assert state.dims == [1, 6, 25, 90, 301]
     # an equal presentation made anew extends the same state
     assert phi_bruteforce(complete_graph(4), 5) == (6, 4, 10, 21, 54)
-    assert holonomy._blocks.cache_info().currsize == 1
+    assert holonomy._state.cache_info().currsize == 1
     assert holonomy._blocks(p)[0][1] is state
     assert len(state.dims) == 6
 
 
 def test_graded_dims_splits_a_presentation_once():
-    holonomy._blocks.cache_clear()
+    holonomy._state.cache_clear()
     g = _k4_triangle_pendant()
     for k in range(1, 5):
         graded_dims(presentation(g), k)
-    # an equal graph made anew finds the same split
+    # an equal graph made anew finds the same states, one per distinct
+    # block: the K4, the pendant letter and the triangle
     want = phi_from_exponents(graphic_exponents(clique_vector(g)), 4)
     assert phi_bruteforce(_k4_triangle_pendant(), 4) == want
-    assert holonomy._blocks.cache_info().misses == 1
+    assert holonomy._state.cache_info().misses == 3
+
+
+def test_equal_blocks_of_different_graphs_share_one_state():
+    holonomy._state.cache_clear()
+    assert phi_bruteforce(complete_graph(4), 3) == (6, 4, 10)
+    state = holonomy._blocks(presentation(complete_graph(4)))[0][1]
+    # K4 on 0..3 and the pendant edge 3-4, whose index 7 follows the K4's
+    g = graph_from_edges(
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
+    )
+    misses = holonomy._state.cache_info().misses
+    want = phi_from_exponents(graphic_exponents(clique_vector(g)), 3)
+    assert phi_bruteforce(g, 3) == want
+    # only the pendant letter's state is new; the K4's is not extended
+    assert holonomy._state.cache_info().misses == misses + 1
+    blocks = holonomy._blocks(presentation(g))
+    assert [letters for letters, _ in blocks] == [(1, 2, 3, 4, 5, 6), (7,)]
+    assert blocks[0][1] is state
+    assert state.dims == [1, 6, 25, 90]
 
 
 def test_phi_bruteforce_matches_formula_on_complete_graphs():
@@ -694,8 +714,8 @@ def test_kernel_generation_holds_its_own_state(monkeypatch):
     g = parse_graph("a b\nb c\na c\nb d\nc d\n")
     sub = g.induced([0, 1, 2])
     expected = verify_kernel_generation(g, sub, 3)
-    one_entry = functools.lru_cache(maxsize=1)(holonomy._blocks.__wrapped__)
-    monkeypatch.setattr(holonomy, "_blocks", one_entry)
+    one_entry = functools.lru_cache(maxsize=1)(holonomy._Cokernels)
+    monkeypatch.setattr(holonomy, "_state", one_entry)
     assert verify_kernel_generation(g, sub, 3) == expected
 
 
@@ -703,18 +723,18 @@ def test_kernel_generation_holds_its_own_state(monkeypatch):
 # bounded state cache
 
 def test_state_cache_is_bounded():
-    bound = holonomy._blocks.cache_info().maxsize
-    holonomy._blocks.cache_clear()
+    bound = holonomy._state.cache_info().maxsize
+    holonomy._state.cache_clear()
     for n in range(1, bound + 4):
-        # n triangles in a strip: one cache entry per graph
+        # n triangles in a strip: one block, so one cache entry per graph
         strip = graph_from_edges(
             [(i, i + 1) for i in range(n + 1)] + [(i, i + 2) for i in range(n)]
         )
         want = phi_from_exponents(graphic_exponents(clique_vector(strip)), 3)
         assert phi_bruteforce(strip, 3) == want
-        assert holonomy._blocks.cache_info().currsize <= bound
-    assert holonomy._blocks.cache_info().currsize == bound
-    # evicted presentations are recomputed from scratch, exactly
+        assert holonomy._state.cache_info().currsize <= bound
+    assert holonomy._state.cache_info().currsize == bound
+    # evicted blocks are recomputed from scratch, exactly
     assert phi_bruteforce(complete_graph(4), 4) == (6, 4, 10, 21)
     assert phi_bruteforce(graph_from_edges([(0, 1), (1, 2)]), 3) == (2, 0, 0)
 
