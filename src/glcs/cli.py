@@ -118,10 +118,10 @@ def _render_checks(lines: list[str], checks: list[dict]):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (json payload, text lines, exit code)
+# subcommands: each takes the graph read and returns (json payload, text
+# lines after the graph's header, exit code)
 
-def cmd_compute(args: argparse.Namespace):
-    g = _load_graph(args)
+def cmd_compute(g: Graph, args: argparse.Namespace):
     kappa = clique_vector(g)
     e = graphic_exponents(kappa)
     u = expand_product(e, args.degree)
@@ -136,7 +136,6 @@ def cmd_compute(args: argparse.Namespace):
         "checks": checks,
     }
     lines = [
-        f"graph: {g.n_vertices} vertices, {g.n_edges} edges",
         "kappa: " + " ".join(_ints(kappa)),
         "e: " + " ".join(_ints(e)),
         "U: " + " ".join(_ints(u.coeffs)),
@@ -147,8 +146,7 @@ def cmd_compute(args: argparse.Namespace):
     return payload, lines, code
 
 
-def cmd_verify(args: argparse.Namespace):
-    g = _load_graph(args)
+def cmd_verify(g: Graph, args: argparse.Namespace):
     kappa = clique_vector(g)
     e = graphic_exponents(kappa)
     u = expand_product(e, args.degree)
@@ -177,7 +175,6 @@ def cmd_verify(args: argparse.Namespace):
         "checks": checks,
     }
     lines = [
-        f"graph: {g.n_vertices} vertices, {g.n_edges} edges",
         "kappa: " + " ".join(_ints(kappa)),
         "e: " + " ".join(_ints(e)),
         "degree  formula  oracle  status",
@@ -199,8 +196,7 @@ def cmd_verify(args: argparse.Namespace):
     return payload, lines, EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def cmd_classify(args: argparse.Namespace):
-    g = _load_graph(args)
+def cmd_classify(g: Graph, args: argparse.Namespace):
     kappa = clique_vector(g)
     chordal, witness = is_chordal(g)
     witness_kind = "elimination-order" if chordal else "chordless-cycle"
@@ -215,7 +211,6 @@ def cmd_classify(args: argparse.Namespace):
         "checks": [],
     }
     lines = [
-        f"graph: {g.n_vertices} vertices, {g.n_edges} edges",
         "kappa: " + " ".join(_ints(kappa)),
         f"chordal (supersolvable): {'yes' if chordal else 'no'}",
         f"witness ({witness_kind}): "
@@ -274,8 +269,7 @@ def _tree_json(folded) -> dict:
     return node
 
 
-def cmd_decompose(args: argparse.Namespace):
-    g = _load_graph(args)
+def cmd_decompose(g: Graph, args: argparse.Namespace):
     folded = _fold(decompose(g), args.degree)
     direct = expand_product(graphic_exponents(clique_vector(g)), args.degree)
     ok = folded.u == direct
@@ -289,15 +283,14 @@ def cmd_decompose(args: argparse.Namespace):
             "checks": checks,
         }
         return payload, [], EXIT_OK if ok else EXIT_MISMATCH
-    lines = [f"graph: {g.n_vertices} vertices, {g.n_edges} edges"]
+    lines = []
     _tree_lines(folded, 0, "", lines)
     lines.append("U direct: " + " ".join(_ints(direct.coeffs)))
     _render_checks(lines, checks)
     return {}, lines, EXIT_OK if ok else EXIT_MISMATCH
 
 
-def cmd_chromatic(args: argparse.Namespace):
-    g = _load_graph(args)
+def cmd_chromatic(g: Graph, args: argparse.Namespace):
     kappa = clique_vector(g)
     chi = chromatic_polynomial(g)
     chordal, _ = is_chordal(g)
@@ -322,7 +315,6 @@ def cmd_chromatic(args: argparse.Namespace):
         "checks": checks,
     }
     lines = [
-        f"graph: {g.n_vertices} vertices, {g.n_edges} edges",
         f"chromatic polynomial: {chi}",
         f"chordal: {'yes' if chordal else 'no'}",
     ]
@@ -400,7 +392,8 @@ def main(argv=None) -> int:
         MismatchError: EXIT_MISMATCH,
     }
     try:
-        payload, lines, code = _COMMANDS[args.command](args)
+        g = _load_graph(args)
+        payload, lines, code = _COMMANDS[args.command](g, args)
     except tuple(exits) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(c for t, c in exits.items() if isinstance(exc, t))
@@ -409,6 +402,7 @@ def main(argv=None) -> int:
             sys.stdout.writelines(_json_chunks(payload))
             print()
         else:
+            print(f"graph: {g.n_vertices} vertices, {g.n_edges} edges")
             print("\n".join(lines))
         sys.stdout.flush()
     except BrokenPipeError:

@@ -4,12 +4,13 @@ Generators are the graph's edges (1-based indices); relators live in degree
 two: one commutator per edge pair spanning no triangle, and two relators per
 triangle.  The oracle builds the enveloping algebra U(h) = T(V)/(R) degree by
 degree, each graded piece A_k as the cokernel of an exact integer matrix
-R ⊗ A_{k-2} -> V ⊗ A_{k-1}, and reads the Lie ranks off dim A_k through the
-Poincare-Birkhoff-Witt identity sum dim A_k t^k = prod_k (1 - t^k)^(-phi_k).
-Edges that share no triangle commute, so h is the direct product of the
-holonomy algebras of its blocks, the triangle-connected classes of edges:
-each block gets its own cokernels, cached by content and so shared with
-every equal block, and the ranks add.  The one size gate is the width of
+R ⊗ A_{k-2} -> V ⊗ A_{k-1}, and peels the Lie rank phi_k off dim A_k through
+the Poincare-Birkhoff-Witt identity sum dim A_k t^k = prod_k (1 - t^k)^(-phi_k)
+once, as degree k is built, checked against the Witt dimension.  Edges that
+share no triangle commute, so h is the direct product of the holonomy
+algebras of its blocks, the triangle-connected classes of edges: each block
+gets its own cokernels and ranks, cached by content and so shared with every
+equal block, and the ranks add.  The one size gate is the width of
 degree k, the column count m * dim A_{k-1} summed over the blocks, known
 exactly before degree k is built.  Each degree's rows are inserted shortest
 first, which changes the fill-in along the way but not the reduced echelon
@@ -255,14 +256,16 @@ class _Cokernels:
     _Echelon._absorb reduces in place.  The free columns of the degree-k
     echelon are the basis of A_k.  mu[k] maps each column of degree k to
     its normal form in A_k, as (denominator, ((basis index, numerator),
-    ...)); it is built from the echelon only when asked for.  The relators
-    are written as in HolonomyPresentation.
+    ...)); it is built from the echelon only when asked for.  phi[k-1] is
+    phi_k, peeled off dims and checked once, as degree k is built.  The
+    relators are written as in HolonomyPresentation.
     """
 
-    __slots__ = ("m", "terms", "dims", "mu", "top")
+    __slots__ = ("m", "terms", "dims", "phi", "mu", "top")
 
     def __init__(self, m: int, relators):
         self.m = m
+        self.phi = [self._checked(1, m)]
         # [x_i, x_j] = x_i x_j - x_j x_i, with letters from 0
         self.terms = [
             tuple(
@@ -306,8 +309,20 @@ class _Cokernels:
         for x in order:
             r, g = divmod(x % rows, below)
             ech._absorb(_row(shifted[r], g, mu))
-        self.dims.append(self.m * width - ech.rank)
-        self.top = ech
+        # the state changes only once phi_k has passed its check
+        dims = self.dims + [self.m * width - ech.rank]
+        self.phi.append(self._checked(k, _peel(dims, self.phi)))
+        self.dims, self.top = dims, ech
+
+    def _checked(self, k: int, phi: int) -> int:
+        """phi, the Lie rank of degree k, once it lies in 0..W(m, k)."""
+        free = witt_dimension(self.m, k)
+        if not 0 <= phi <= free:
+            raise MismatchError(
+                f"rank {phi} of degree {k} read off the enveloping algebra "
+                f"of a block leaves the range 0..{free} of the free Lie algebra"
+            )
+        return phi
 
     def normal_form(self, k: int) -> list:
         """mu[k], built from the degree-k echelon on first use."""
@@ -358,26 +373,28 @@ def _row(terms, g: int, mu) -> dict[int, int]:
     return row
 
 
-def _pbw_ranks(dims) -> tuple[int, ...]:
-    """phi_1, phi_2, ... of a graded Lie algebra from dims[k] = dim U_k.
+def _peel(dims, phi: list[int]) -> int:
+    """phi_k of a graded Lie algebra, k = len(phi) + 1, from dims[i] = dim U_i.
 
-    PBW: sum dims[k] t^k = prod_k (1 - t^k)^(-phi_k), so phi_k is the
+    phi holds phi_1..phi_(k-1) and dims at least k + 1 entries.  PBW:
+    sum dims[i] t^i = prod_j (1 - t^j)^(-phi_j), so phi_k is the
     coefficient of t^k in that series times prod_{j<k} (1 - t^j)^(phi_j).
     """
-    phi: list[int] = []
-    for k in range(1, len(dims)):
-        prod = expand_lcs_product(phi + [0], k).coeffs
-        phi.append(sum(dims[i] * prod[k - i] for i in range(k + 1)))
-    return tuple(phi)
+    k = len(phi) + 1
+    prod = expand_lcs_product(phi + [0], k).coeffs
+    return sum(dims[i] * prod[k - i] for i in range(k + 1))
 
 
 # the 4 most recently used blocks' cokernels, keyed by content: enough for
-# g and the pieces of one Mayer-Vietoris pivot
+# g and the pieces of one Mayer-Vietoris pivot only when those graphs hold
+# at most 4 distinct blocks between them
 _state = lru_cache(maxsize=4)(_Cokernels)
 
 
-def _blocks(p: HolonomyPresentation) -> tuple:
-    """p's direct factors: (letters, cokernels on them) per block.
+def _block_states(
+    p: HolonomyPresentation, up_to: int, max_dim: int | None, max_entries: int | None
+) -> tuple:
+    """p's direct factors, (letters, cokernels on them) per block, to degree up_to.
 
     Letters i < j share a block when [x_i, x_j] on its own is not a
     relator, or when a relator with more than one term involves both.
@@ -387,35 +404,8 @@ def _blocks(p: HolonomyPresentation) -> tuple:
     re-indexed from 1 in increasing order with its relators in p's order;
     the commutators across blocks are dropped.  For presentation(g) the
     blocks are the triangle-connected classes of edges.  Each block's
-    cokernels come from _state, keyed by (m, re-indexed relators).
-    """
-    m = p.num_generators
-    linked = set(combinations(range(1, m + 1), 2))
-    linked -= {rel[0][0] for rel in p.relators if len(rel) == 1}
-    for rel in p.relators:
-        if len(rel) > 1:
-            linked.update((rel[0][0][0], x) for (i, j), _ in rel for x in (i, j))
-    blocks = [sorted(c) for c in _components(range(1, m + 1), linked)]
-    block_of = [0] * (m + 1)
-    index = [0] * (m + 1)
-    for b, letters in enumerate(blocks):
-        for i, a in enumerate(letters, start=1):
-            block_of[a] = b
-            index[a] = i
-    relators: list[list] = [[] for _ in blocks]
-    for rel in p.relators:
-        if rel and block_of[rel[0][0][0]] == block_of[rel[0][0][1]]:
-            relators[block_of[rel[0][0][0]]].append(
-                tuple(((index[i], index[j]), c) for (i, j), c in rel)
-            )
-    keys = zip(map(len, blocks), map(tuple, relators))
-    return tuple((tuple(ls), _state(*key)) for ls, key in zip(blocks, keys))
-
-
-def _block_states(
-    p: HolonomyPresentation, up_to: int, max_dim: int | None, max_entries: int | None
-) -> tuple:
-    """(letters, cokernels) of each block of p, built to degree up_to.
+    cokernels come from _state, keyed by (m, re-indexed relators), and
+    carry the block's ranks phi, each checked as its degree is built.
 
     max_dim caps the width of each degree k >= 2, the column count
     m * dim A_{k-1} of the blocks' degree-k matrices, summed; max_entries,
@@ -429,7 +419,27 @@ def _block_states(
         raise ValueError("up_to must be >= 1")
     if max_dim is None:
         max_dim = DEFAULT_MAX_DIM
-    blocks = _blocks(p)
+    m = p.num_generators
+    linked = set(combinations(range(1, m + 1), 2))
+    linked -= {rel[0][0] for rel in p.relators if len(rel) == 1}
+    for rel in p.relators:
+        if len(rel) > 1:
+            linked.update((rel[0][0][0], x) for (i, j), _ in rel for x in (i, j))
+    letters = [sorted(c) for c in _components(range(1, m + 1), linked)]
+    block_of = [0] * (m + 1)
+    index = [0] * (m + 1)
+    for b, ls in enumerate(letters):
+        for i, a in enumerate(ls, start=1):
+            block_of[a] = b
+            index[a] = i
+    relators: list[list] = [[] for _ in letters]
+    for rel in p.relators:
+        if rel and block_of[rel[0][0][0]] == block_of[rel[0][0][1]]:
+            relators[block_of[rel[0][0][0]]].append(
+                tuple(((index[i], index[j]), c) for (i, j), c in rel)
+            )
+    keys = zip(map(len, letters), map(tuple, relators))
+    blocks = tuple((tuple(ls), _state(*key)) for ls, key in zip(letters, keys))
     for k in range(2, up_to + 1):
         width = sum(s.m * s.dims[k - 1] for _, s in blocks)
         if width > max_dim:
@@ -456,21 +466,6 @@ def _block_states(
     return blocks
 
 
-def _peeled_ranks(blocks, up_to: int) -> tuple[int, ...]:
-    """phi_1..phi_up_to of the direct product: the blocks' ranks added."""
-    phi = [0] * up_to
-    for letters, state in blocks:
-        ranks = _pbw_ranks(state.dims[: up_to + 1])
-        free = [witt_dimension(len(letters), k) for k in range(1, up_to + 1)]
-        if any(not 0 <= q <= f for q, f in zip(ranks, free)):
-            raise MismatchError(
-                f"ranks {ranks} read off the enveloping algebra of a block "
-                f"leave the range 0..{free} of the free Lie dimensions"
-            )
-        phi = list(map(add, phi, ranks))
-    return tuple(phi)
-
-
 def graded_dims(
     p: HolonomyPresentation,
     up_to: int,
@@ -482,18 +477,21 @@ def graded_dims(
 
     The enveloping algebra's graded pieces A_k are built as cokernels of
     exact integer matrices, degree by degree, one set per block of the
-    presentation, and the Lie ranks phi_k are read off their dimensions
-    through PBW and added over the blocks.  The free dimensions are the
-    Witt dimensions of the whole presentation and the ideal dimensions
-    their difference from phi.  A request whose width at some degree, the
-    column count of that degree's matrices summed over the blocks, exceeds
-    max_dim (default DEFAULT_MAX_DIM) raises FeasibilityError instead of
-    grinding.  max_entries, when given, also caps their dense size; it stays
-    in the signatures only because the benchmark (bench/worker.py,
-    bench/spans.py) passes it.  The 4 most recently used blocks' cokernels,
-    of any presentation, are cached by content and extended on demand.
+    presentation.  Each block peels its Lie rank phi_k off dim A_k through
+    PBW once, when it builds degree k, checks it against the block's Witt
+    dimension and keeps it; the blocks' ranks are added.  The free
+    dimensions are the Witt dimensions of the whole presentation and the
+    ideal dimensions their difference from phi.  A request whose width at
+    some degree, the column count of that degree's matrices summed over
+    the blocks, exceeds max_dim (default DEFAULT_MAX_DIM) raises
+    FeasibilityError instead of grinding.  max_entries, when given, also
+    caps their dense size; it stays in the signatures only because the
+    benchmark (bench/worker.py, bench/spans.py) passes it.  The 4 most
+    recently used blocks' cokernels, of any presentation, are cached by
+    content and extended on demand.
     """
-    phi = _peeled_ranks(_block_states(p, up_to, max_dim, max_entries), up_to)
+    blocks = _block_states(p, up_to, max_dim, max_entries)
+    phi = tuple(sum(s.phi[k] for _, s in blocks) for k in range(up_to))
     free = [witt_dimension(p.num_generators, k) for k in range(1, up_to + 1)]
     return GradedDims(
         tuple(free), tuple(f - q for f, q in zip(free, phi)), phi
@@ -612,7 +610,7 @@ def verify_kernel_generation(
         i for i, e in enumerate(g.edges, start=1) if e not in sub_edges
     )
     blocks = _block_states(presentation(g), up_to, max_dim, max_entries)
-    phi_g = _peeled_ranks(blocks, up_to)
+    phi_g = [sum(s.phi[k] for _, s in blocks) for k in range(up_to)]
     phi_sub = phi_bruteforce(sub, up_to, max_dim=max_dim, max_entries=max_entries)
     # letters of different blocks commute, so the subalgebra the outside
     # letters generate is the direct sum of the ones generated in each block
@@ -623,7 +621,7 @@ def verify_kernel_generation(
         if not mine:
             continue
         span = [{b: 1} for b in mine]
-        dims = [1, len(span)]
+        dims, phi = [1, len(mine)], [len(mine)]
         for k in range(2, up_to + 1):
             mu = state.normal_form(k)
             width = state.dims[k - 1]
@@ -635,7 +633,8 @@ def verify_kernel_generation(
                     ech._absorb(_row(terms, 0, mu))
             span = list(ech.pivots.values())
             dims.append(ech.rank)
-        spanned = list(map(add, spanned, _pbw_ranks(dims)))
+            phi.append(_peel(dims, phi))
+        spanned = list(map(add, spanned, phi))
     rows = tuple(
         KernelGenerationRow(k, phi_g[k - 1] - phi_sub[k - 1], spanned[k - 1])
         for k in range(1, up_to + 1)

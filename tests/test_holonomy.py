@@ -359,7 +359,7 @@ def test_graded_dims_extends_cached_state():
     p = presentation(complete_graph(4))
     first = graded_dims(p, 2)
     assert first.quotient_dims == (6, 4)
-    state = holonomy._blocks(p)[0][1]
+    state = holonomy._block_states(p, 1, None, None)[0][1]
     assert state.dims == [1, 6, 25]
     extended = graded_dims(p, 4)
     assert extended.quotient_dims == (6, 4, 10, 21)
@@ -367,7 +367,7 @@ def test_graded_dims_extends_cached_state():
     # an equal presentation made anew extends the same state
     assert phi_bruteforce(complete_graph(4), 5) == (6, 4, 10, 21, 54)
     assert holonomy._state.cache_info().currsize == 1
-    assert holonomy._blocks(p)[0][1] is state
+    assert holonomy._block_states(p, 1, None, None)[0][1] is state
     assert len(state.dims) == 6
 
 
@@ -386,7 +386,9 @@ def test_graded_dims_splits_a_presentation_once():
 def test_equal_blocks_of_different_graphs_share_one_state():
     holonomy._state.cache_clear()
     assert phi_bruteforce(complete_graph(4), 3) == (6, 4, 10)
-    state = holonomy._blocks(presentation(complete_graph(4)))[0][1]
+    state = holonomy._block_states(
+        presentation(complete_graph(4)), 1, None, None
+    )[0][1]
     # K4 on 0..3 and the pendant edge 3-4, whose index 7 follows the K4's
     g = graph_from_edges(
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
@@ -396,10 +398,29 @@ def test_equal_blocks_of_different_graphs_share_one_state():
     assert phi_bruteforce(g, 3) == want
     # only the pendant letter's state is new; the K4's is not extended
     assert holonomy._state.cache_info().misses == misses + 1
-    blocks = holonomy._blocks(presentation(g))
+    blocks = holonomy._block_states(presentation(g), 1, None, None)
     assert [letters for letters, _ in blocks] == [(1, 2, 3, 4, 5, 6), (7,)]
     assert blocks[0][1] is state
     assert state.dims == [1, 6, 25, 90]
+
+
+def test_ranks_are_peeled_once_per_degree(monkeypatch):
+    assert phi_bruteforce(complete_graph(4), 4) == (6, 4, 10, 21)
+    calls = []
+
+    def counted(phi, order, original=holonomy.expand_lcs_product):
+        calls.append(order)
+        return original(phi, order)
+
+    monkeypatch.setattr(holonomy, "expand_lcs_product", counted)
+    # an equal graph made anew reads the ranks its state keeps
+    assert phi_bruteforce(complete_graph(4), 4) == (6, 4, 10, 21)
+    assert calls == []
+    state = holonomy._block_states(
+        presentation(complete_graph(4)), 1, None, None
+    )[0][1]
+    assert len(state.phi) == len(state.dims) - 1
+    assert tuple(state.phi[:4]) == (6, 4, 10, 21)
 
 
 def test_phi_bruteforce_matches_formula_on_complete_graphs():
@@ -438,7 +459,8 @@ def test_blocks_keep_a_relator_with_several_terms_whole():
         (((i, j), 1),) for i, j in ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     )
     p = holonomy.HolonomyPresentation(4, ((((1, 2), 1), ((3, 4), 1)),) + singles)
-    assert [letters for letters, _ in holonomy._blocks(p)] == [(1, 2, 3, 4)]
+    blocks = holonomy._block_states(p, 1, None, None)
+    assert [letters for letters, _ in blocks] == [(1, 2, 3, 4)]
     assert graded_dims(p, 4).quotient_dims == (4, 0, 0, 0)
 
 
@@ -453,7 +475,7 @@ def _k4_triangle_pendant():
 
 def test_blocks_are_triangle_connected_classes():
     g = _k4_triangle_pendant()
-    blocks = holonomy._blocks(presentation(g))
+    blocks = holonomy._block_states(presentation(g), 1, None, None)
     assert [letters for letters, _ in blocks] == [
         (1, 2, 3, 5, 6, 7), (4,), (8, 9, 10)
     ]
@@ -479,7 +501,7 @@ def test_equal_blocks_share_one_state():
     g = graph_from_edges(
         [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6)]
     )
-    blocks = holonomy._blocks(presentation(g))
+    blocks = holonomy._block_states(presentation(g), 1, None, None)
     assert [letters for letters, _ in blocks] == [
         (1, 2, 3), (4, 5, 6), (7,), (8,)
     ]
@@ -739,6 +761,20 @@ def test_state_cache_is_bounded():
     assert phi_bruteforce(graph_from_edges([(0, 1), (1, 2)]), 3) == (2, 0, 0)
 
 
+@pytest.mark.parametrize("free", [
+    lambda m, k: 0,  # phi_1 fails, when the state is made
+    lambda m, k: m if k == 1 else 0,  # phi_2 fails, when degree 2 is built
+], ids=["phi_1", "phi_2"])
+def test_failed_rank_check_raises_again(monkeypatch, free):
+    # a rank that fails its check leaves no state behind that would pass
+    holonomy._state.cache_clear()
+    monkeypatch.setattr(holonomy, "witt_dimension", free)
+    for _ in range(2):
+        with pytest.raises(glcs.MismatchError):
+            phi_bruteforce(complete_graph(3), 2)
+    holonomy._state.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # certificates are explicit checks, so they survive python -O
 
@@ -755,6 +791,11 @@ _CERTIFICATE_CASES = {
     "nonnegative_quotient": (
         "glcs.holonomy.witt_dimension = lambda m, k: 0",
         "glcs.phi_bruteforce(glcs.complete_graph(3), 2)",
+    ),
+    "first_rank_within_witt": (
+        # phi_1 = m is checked too, when the block's state is made
+        "glcs.holonomy.witt_dimension = lambda m, k: 0",
+        "glcs.phi_bruteforce(glcs.complete_graph(3), 1)",
     ),
     "split_triangle_complete": (
         "glcs.graphs.is_triangle_complete = lambda big, small: False",
