@@ -58,12 +58,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return parse_graph(text, strict=args.strict)
 
 
-def _s(x: int) -> str:
-    return str(int(x))
-
-
 def _ints(xs) -> list[str]:
-    return [_s(x) for x in xs]
+    return list(map(str, map(int, xs)))
 
 
 def _graph_json(g: Graph) -> dict:

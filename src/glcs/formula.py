@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .errors import MismatchError, NotDecomposableError
 from .graphs import (
@@ -21,7 +22,7 @@ from .graphs import (
     clique_vector,
     decompose,
 )
-from .series import TruncatedSeries, expand_product, linear_factor, one
+from .series import TruncatedSeries, expand_product
 
 __all__ = [
     "IntPolynomial",
@@ -161,14 +162,17 @@ def graphic_exponents(kappa) -> tuple[int, ...]:
 def braid_series(n: int, order: int) -> TruncatedSeries:
     """prod_{i=1}^{n-1} (1 - i*t), the braid arrangement series.
 
-    Computed directly from the factors, not through exponents, so it can
-    serve as an independent check on the clique-vector route for complete
-    graphs.  For n <= 1 the product is empty and the series is 1.
+    Computed directly from the factors, multiplied one by one into a single
+    coefficient list, not through exponents, so it can serve as an
+    independent check on the clique-vector route for complete graphs.  For
+    n <= 1 the product is empty and the series is 1.
     """
-    result = one(order)
+    coeffs = [1] + [0] * order
     for i in range(1, n):
-        result = result * linear_factor(i, order)
-    return result
+        # times (1 - i*t), descending so coeffs[k - 1] is still the old one
+        for k in range(min(i, order), 0, -1):
+            coeffs[k] -= i * coeffs[k - 1]
+    return TruncatedSeries(order, tuple(coeffs))
 
 
 def rank2_flats(g: Graph) -> tuple[Flat2, ...]:
@@ -288,13 +292,29 @@ def glue_series(
     """Combine the two split pieces: u1 * u2 / seam.
 
     All three series must share a truncation order, and the seam must be a
-    unit (constant term 1) so the division is exact over Z.
+    unit (constant term 1) so the division is exact over Z.  Only the work
+    that can change the result is done: a factor equal to the series 1 is
+    not multiplied in, and the product is divided by a seam other than 1 in
+    one pass, q_k = p_k - sum_{i >= 1} s_i q_(k-i), with no reciprocal.
     """
     if not (u1.order == u2.order == seam.order):
         raise ValueError("series orders differ")
     if seam.coeffs[0] != 1:
         raise ValueError("seam series must have constant term 1")
-    return u1 * u2 * seam.reciprocal()
+    unit = (1,) + (0,) * u1.order
+    if u2.coeffs == unit:
+        product = u1
+    elif u1.coeffs == unit:
+        product = u2
+    else:
+        product = u1 * u2
+    if seam.coeffs == unit:
+        return product
+    s = seam.coeffs[1:]
+    q = list(product.coeffs)
+    for k in range(1, len(q)):
+        q[k] -= sum(map(mul, s, q[k - 1 :: -1]))
+    return TruncatedSeries(u1.order, tuple(q))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ orders in arithmetic is an error rather than a silent re-truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import IntegralityError
 
@@ -135,16 +136,39 @@ def linear_factor(j: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(coeffs))
 
 
+def _times_binomial(coeffs: list, x: int, p: int, k: int):
+    """Multiply coeffs in place by (1 - x*t^k)^p, truncated to their length.
+
+    The factor is the binomial series sum_j C(p, j) (-x)^j t^(kj), exact for
+    any integer p: each term is the one before times (p - j + 1) * (-x),
+    divided by j, and that division has no remainder.
+    """
+    order = len(coeffs) - 1
+    terms = []  # C(p, j) (-x)^j, the coefficient of t^(kj), for j >= 1
+    c = 1
+    for j in range(1, order // k + 1):
+        c = c * (p - j + 1) * -x // j
+        if c == 0:
+            break
+        terms.append(c)
+    # descending, so coeffs[i - k], coeffs[i - 2k], ... still hold the
+    # previous product
+    for i in range(order, k - 1, -1):
+        coeffs[i] += sum(map(mul, terms, coeffs[i - k :: -k]))
+
+
 def expand_product(exponents, order: int) -> TruncatedSeries:
     """Expand prod_j (1 - j*t)^(e_j) to the given order.
 
-    exponents[j-1] is the (possibly negative) exponent of (1 - j*t).
+    exponents[j-1] is the (possibly negative) exponent of (1 - j*t).  Each
+    factor is multiplied in as its binomial series, so no factor is raised
+    to a power and no reciprocal is taken.
     """
-    result = one(order)
+    coeffs = [1] + [0] * order
     for j, e in enumerate(exponents, start=1):
         if e:
-            result = result * linear_factor(j, order) ** e
-    return result
+            _times_binomial(coeffs, j, e, 1)
+    return TruncatedSeries(order, tuple(coeffs))
 
 
 def expand_lcs_product(phi, order: int) -> TruncatedSeries:
@@ -152,8 +176,7 @@ def expand_lcs_product(phi, order: int) -> TruncatedSeries:
 
     Requires order <= len(phi): factors beyond the supplied ranks would
     change coefficients at or below the truncation order.  Each factor is
-    the binomial series sum_j (-1)^j C(p, j) t^(kj), exact for any integer
-    p, with C(p, j) = C(p, j-1) * (p - j + 1) / j.
+    multiplied in as its binomial series, exact for any integer phi_k.
     """
     if order > len(phi):
         raise ValueError(
@@ -161,16 +184,8 @@ def expand_lcs_product(phi, order: int) -> TruncatedSeries:
         )
     coeffs = [1] + [0] * order
     for k, p in enumerate(phi[:order], start=1):
-        terms = []  # (shift k*j, coefficient (-1)^j C(p, j)) for j >= 1
-        c = 1
-        for j in range(1, order // k + 1):
-            c = -c * (p - j + 1) // j
-            if c == 0:
-                break
-            terms.append((k * j, c))
-        # descending, so coeffs[i - shift] still holds the previous product
-        for i in range(order, k - 1, -1):
-            coeffs[i] += sum(c * coeffs[i - shift] for shift, c in terms if shift <= i)
+        if p:
+            _times_binomial(coeffs, 1, p, k)
     return TruncatedSeries(order, tuple(coeffs))
 
 

@@ -24,7 +24,7 @@ from glcs import (
     witt_dimension,
 )
 from glcs.holonomy import KernelGenerationRow, _Echelon
-from glcs.series import TruncatedSeries, one
+from glcs.series import TruncatedSeries, linear_factor, one
 
 
 def degeneracy_order(g: Graph) -> list[int]:
@@ -231,6 +231,34 @@ def expand_lcs_product(phi, order: int) -> TruncatedSeries:
         coeffs[k] = -1
         result = result * TruncatedSeries(order, tuple(coeffs)) ** p
     return result
+
+
+def expand_product(exponents, order: int) -> TruncatedSeries:
+    """prod_j (1 - j*t)^(e_j), each factor raised to its power by squaring."""
+    result = one(order)
+    for j, e in enumerate(exponents, start=1):
+        if e:
+            result = result * linear_factor(j, order) ** e
+    return result
+
+
+def braid_series(n: int, order: int) -> TruncatedSeries:
+    """prod_{i=1}^{n-1} (1 - i*t), one series product per factor."""
+    result = one(order)
+    for i in range(1, n):
+        result = result * linear_factor(i, order)
+    return result
+
+
+def glue_series(
+    u1: TruncatedSeries, u2: TruncatedSeries, seam: TruncatedSeries
+) -> TruncatedSeries:
+    """u1 * u2 / seam: two products and the seam's reciprocal, every time."""
+    if not (u1.order == u2.order == seam.order):
+        raise ValueError("series orders differ")
+    if seam.coeffs[0] != 1:
+        raise ValueError("seam series must have constant term 1")
+    return u1 * u2 * seam.reciprocal()
 
 
 def rank2_flats(g: Graph) -> tuple[Flat2, ...]:

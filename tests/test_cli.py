@@ -1,6 +1,7 @@
 """Command-line behavior: schemas, determinism, exit codes."""
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -535,6 +536,45 @@ def test_decompose_mismatch_exit_5(k3_file, capsys, monkeypatch):
     code, out, _ = run_cli(["decompose", "--input", k3_file], capsys)
     assert code == 5
     assert "check glued-equals-direct: FAIL" in out
+
+
+def _pinned_text(seed):
+    """Edge list of a seeded non-chordal G(60, 150), every vertex declared."""
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(60), 2))
+    while True:
+        edges = rng.sample(pairs, 150)
+        text = "".join(f"v {i}\n" for i in range(60))
+        text += "".join(f"{u} {v}\n" for u, v in edges)
+        if not glcs.is_chordal(glcs.parse_graph(text))[0]:
+            return text
+
+
+# SHA-256 of stdout, recorded with the earlier series routines (each
+# factor powered, each seam inverted); rewriting them must not move a byte
+PINNED_STDOUT = {
+    (1901, "decompose"):
+        "27eb041c287a61d185a9a4b9a382b1ae9647022013f9a282e3c071cd11d476b8",
+    (1901, "decompose --format json"):
+        "0e13b89921fb4188c4921233694336139946a67f47ca971e37fd35c99b2ff70b",
+    (1901, "compute --degree 60"):
+        "003b2ccb18809d43d64ec551cf5907321ce8ecc1ee2b34b4ec3e463bdf9c5b11",
+    (1902, "decompose"):
+        "04e3eda65c84e3dc7e515c7c0173456fbc91ea511180a3cca52fd2faa5d46cb3",
+    (1902, "decompose --format json"):
+        "cf17887aba18239cda833c09351ccfb16915148a9ff149ac423ccb276080fde2",
+    (1902, "compute --degree 60"):
+        "13aedb3f5a13ae3115571425988e41956b443e976f6f31650d678f2982fcfa2a",
+}
+
+
+@pytest.mark.parametrize("seed, argv", list(PINNED_STDOUT))
+def test_pinned_stdout(seed, argv, tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text(_pinned_text(seed))
+    code, out, err = run_cli([*argv.split(), "--input", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[seed, argv]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Closed-form exponents, flats, chromatic routes, and gluing."""
 
 import itertools
+import random
 
 import pytest
 
+import reference
 from glcs import (
     IntPolynomial,
     MismatchError,
@@ -25,7 +27,7 @@ from glcs import (
     rank2_flats,
     series_via_decomposition,
 )
-from glcs.series import one
+from glcs.series import TruncatedSeries, one
 from iso import representatives
 
 EXAMPLE = (
@@ -130,6 +132,13 @@ def test_braid_series_small():
     assert braid_series(4, 4).coeffs == (1, -6, 11, -6, 0)
     assert braid_series(0, 2) == one(2)
     assert braid_series(1, 2) == one(2)
+
+
+def test_braid_series_matches_reference():
+    for n in range(9):
+        for order in range(13):
+            want = reference.braid_series(n, order)
+            assert braid_series(n, order) == want, (n, order)
 
 
 def test_rank2_flats_k4():
@@ -263,6 +272,54 @@ def test_glue_series_requirements():
     bad_seam = u - one(5)  # constant term 0
     with pytest.raises(ValueError, match="constant term 1"):
         glue_series(u, u, bad_seam)
+
+
+def test_glue_series_checks_come_before_the_shortcuts():
+    # the three errors above, each with u2 or the seam equal to the series 1
+    u = expand_product((1, 1), 5)
+    with pytest.raises(ValueError, match="orders differ"):
+        glue_series(u, u, one(4))
+    with pytest.raises(ValueError, match="orders differ"):
+        glue_series(u, one(4), u)
+    with pytest.raises(ValueError, match="orders differ"):
+        glue_series(u, one(5), one(4))
+    with pytest.raises(ValueError, match="orders differ"):
+        glue_series(expand_product((1,), 4), one(5), one(5))
+    with pytest.raises(ValueError, match="constant term 1"):
+        glue_series(u, one(5), u - one(5))
+    for c in (-1, 0, 2):
+        # constant seams other than 1
+        seam = TruncatedSeries(5, (c, 0, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="constant term 1"):
+            glue_series(u, u, seam)
+        with pytest.raises(ValueError, match="constant term 1"):
+            glue_series(u, one(5), seam)
+
+
+def _unit_series(rng, order):
+    """A seeded series with constant term 1 and small integer coefficients."""
+    return TruncatedSeries(
+        order, (1,) + tuple(rng.randint(-9, 9) for _ in range(order))
+    )
+
+
+def test_glue_series_matches_reference():
+    rng = random.Random(1901)
+    for order in range(13):
+        for _ in range(8):
+            u1, u2, seam = (_unit_series(rng, order) for _ in range(3))
+            cases = [
+                (u1, u2, seam),
+                (u1, u2, one(order)),
+                (u1, one(order), seam),
+                (u1, one(order), one(order)),
+                (one(order), u2, seam),
+                (one(order), one(order), one(order)),
+                (u1 - one(order), u2, seam),  # u1 need not be a unit
+            ]
+            for args in cases:
+                want = reference.glue_series(*args)
+                assert glue_series(*args) == want, args
 
 
 def test_glue_example_quotient():

@@ -1,7 +1,10 @@
 """Truncated series arithmetic and rank extraction."""
 
+import random
+
 import pytest
 
+import reference
 from glcs import (
     IntegralityError,
     TruncatedSeries,
@@ -92,6 +95,22 @@ def test_expand_product_negative_exponents():
     # octahedron: (1-t)^(-4) (1-2t)^8
     u = expand_product((-4, 8), 2)
     assert u.coeffs == (1, -12, 58)
+
+
+def test_expand_product_matches_reference():
+    # seeded exponent vectors in -40..40, a third of the entries zero, at
+    # every order 0..30
+    rng = random.Random(19)
+    for order in range(31):
+        vectors = [(), (0,), (0, 0, 3), (-40,), (40,), (0, -40, 0, 40)]
+        for _ in range(6):
+            vectors.append(tuple(
+                0 if rng.random() < 0.33 else rng.randint(-40, 40)
+                for _ in range(rng.randint(1, 6))
+            ))
+        for e in vectors:
+            want = reference.expand_product(e, order)
+            assert expand_product(e, order) == want, (e, order)
 
 
 def test_expand_lcs_product():
