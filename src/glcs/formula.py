@@ -8,10 +8,8 @@ used to corroborate it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
-from operator import mul
 
 from .errors import MismatchError, NotDecomposableError
 from .graphs import (
@@ -22,10 +20,9 @@ from .graphs import (
     clique_vector,
     decompose,
 )
-from .series import TruncatedSeries, expand_product
+from .series import IntPolynomial, TruncatedSeries, _quotient, expand_product
 
 __all__ = [
-    "IntPolynomial",
     "Flat2",
     "graphic_exponents",
     "braid_series",
@@ -37,95 +34,6 @@ __all__ = [
     "series_via_decomposition",
     "poincare_polynomial",
 ]
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial, constant term first, no trailing zeros."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        c = tuple(self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(
-            tuple(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
-        )
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + IntPolynomial(tuple(-c for c in other.coeffs))
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def __pow__(self, k: int) -> "IntPolynomial":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = IntPolynomial((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def coefficient(self, d: int) -> int:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
-
-    def substitute_negated(self) -> "IntPolynomial":
-        """The polynomial p(-t)."""
-        return IntPolynomial(
-            tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
-        )
-
-    def as_series(self, order: int) -> TruncatedSeries:
-        coeffs = [self.coefficient(i) for i in range(order + 1)]
-        return TruncatedSeries(order, tuple(coeffs))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            if i > 0 and abs(c) != 1:
-                mono = f"{abs(c)}*{mono}"
-            elif i == 0:
-                mono = str(abs(c))
-            if not parts:
-                parts.append(("-" if c < 0 else "") + mono)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + mono)
-        return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -196,21 +104,17 @@ def decomposable_series(g: Graph, order: int) -> TruncatedSeries:
     """Series for graphs without K_4 subgraphs, via the rank-2 flat product.
 
     U(t) = (1-t)^(b1) * prod over flats p with mu(p) >= 2 of
-    (1 - mu(p) t) / (1-t)^(mu(p)).  The arrangement is decomposable exactly
+    (1 - mu(p) t) / (1-t)^(mu(p)).  A graphic rank-2 flat is a triangle
+    (mu = 2) or two edges in no common triangle (mu = 1), so with T triangles
+    U(t) = (1-t)^(b1 - 2T) (1-2t)^T.  The arrangement is decomposable exactly
     when the graph has no K_4; NotDecomposableError otherwise.
     """
     kappa = clique_vector(g)
     if not _decomposable(kappa):
         raise NotDecomposableError(f"graph has {kappa[3]} K_4 subgraphs")
     b1 = kappa[1] if len(kappa) > 1 else 0
-    exps: dict[int, int] = {1: b1}
-    for flat in rank2_flats(g):
-        if flat.mu >= 2:
-            exps[flat.mu] = exps.get(flat.mu, 0) + 1
-            exps[1] -= flat.mu
-    top = max(exps) if exps else 1
-    vec = [exps.get(j, 0) for j in range(1, top + 1)]
-    return expand_product(vec, order)
+    triangles = sum(1 for flat in rank2_flats(g) if flat.mu == 2)
+    return expand_product([b1 - 2 * triangles, triangles], order)
 
 
 def chromatic_polynomial(g: Graph) -> IntPolynomial:
@@ -294,8 +198,8 @@ def glue_series(
     All three series must share a truncation order, and the seam must be a
     unit (constant term 1) so the division is exact over Z.  Only the work
     that can change the result is done: a factor equal to the series 1 is
-    not multiplied in, and the product is divided by a seam other than 1 in
-    one pass, q_k = p_k - sum_{i >= 1} s_i q_(k-i), with no reciprocal.
+    not multiplied in, and a seam other than 1 divides the product in the
+    one exact pass of glcs.series, with no reciprocal.
     """
     if not (u1.order == u2.order == seam.order):
         raise ValueError("series orders differ")
@@ -310,11 +214,7 @@ def glue_series(
         product = u1 * u2
     if seam.coeffs == unit:
         return product
-    s = seam.coeffs[1:]
-    q = list(product.coeffs)
-    for k in range(1, len(q)):
-        q[k] -= sum(map(mul, s, q[k - 1 :: -1]))
-    return TruncatedSeries(u1.order, tuple(q))
+    return TruncatedSeries(u1.order, _quotient(product.coeffs, seam.coeffs))
 
 
 @dataclass(frozen=True)

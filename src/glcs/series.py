@@ -1,19 +1,22 @@
-"""Exact truncated integer power series and rank extraction.
+"""Exact integer power series and polynomials, and rank extraction.
 
-Everything here is integer arithmetic; there is no floating point in the
-package.  Series are immutable and carry their truncation order; mixing
-orders in arithmetic is an error rather than a silent re-truncation.
+This is the one place their arithmetic lives: TruncatedSeries and
+IntPolynomial share one product, repeated squaring, unit division,
+coefficient sum and term printer, all in integers, with no floating point.
+Series carry their truncation order; mixing orders is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import mul
 
 from .errors import IntegralityError
 
 __all__ = [
     "TruncatedSeries",
+    "IntPolynomial",
     "one",
     "linear_factor",
     "expand_product",
@@ -22,6 +25,63 @@ __all__ = [
     "ranks_from_power_sums",
     "moebius",
 ]
+
+
+def _product(a, b, n: int) -> list:
+    """The first n coefficients of a * b, skipping zero terms of either."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i], i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def _power(a, k: int, n: int) -> list:
+    """The first n coefficients of a ** k, k >= 0, by repeated squaring."""
+    result = [1] + [0] * (n - 1)
+    while k:
+        if k & 1:
+            result = _product(result, a, n)
+        k >>= 1
+        if k:
+            a = _product(a, a, n)
+    return result
+
+
+def _quotient(p, s) -> list:
+    """p / s to len(p) coefficients, in one exact pass, for s_0 = 1 or -1.
+
+    q_k = s_0 (p_k - sum_{i >= 1} s_i q_(k-i)); s has at least len(p) terms.
+    """
+    s0, rest = s[0], s[1:]
+    q: list = []
+    for x in p:
+        q.append(s0 * (x - sum(map(mul, rest, reversed(q)))))
+    return q
+
+
+def _sum(a, b, sign: int) -> list:
+    """a + sign * b coefficient-wise, the shorter one padded with zeros."""
+    return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _terms(pairs) -> str:
+    """Print (exponent, coefficient) pairs in the order given, zeros skipped."""
+    text = ""
+    for i, c in pairs:
+        if c == 0:
+            continue
+        mono = str(abs(c))
+        if i:
+            mag = "" if abs(c) == 1 else mono + "*"
+            mono = mag + ("t" if i == 1 else f"t^{i}")
+        if text:
+            text += (" - " if c < 0 else " + ") + mono
+        else:
+            text = ("-" if c < 0 else "") + mono
+    return text or "0"
 
 
 @dataclass(frozen=True)
@@ -52,55 +112,30 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        return TruncatedSeries(
-            self.order,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return TruncatedSeries(self.order, _sum(self.coeffs, other.coeffs, 1))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        return TruncatedSeries(
-            self.order,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return TruncatedSeries(self.order, _sum(self.coeffs, other.coeffs, -1))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(n, tuple(out))
+        return TruncatedSeries(
+            self.order, _product(self.coeffs, other.coeffs, self.order + 1)
+        )
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if k < 0:
             return self.reciprocal() ** (-k)
-        result = one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return TruncatedSeries(self.order, _power(self.coeffs, k, self.order + 1))
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires constant term +1 or -1."""
         c0 = self.coeffs[0]
         if c0 not in (1, -1):
             raise ValueError(f"series is not a unit over Z (constant term {c0})")
-        n = self.order
-        inv = [c0] + [0] * n
-        for k in range(1, n + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * inv[k - i]
-            inv[k] = -c0 * acc
-        return TruncatedSeries(n, tuple(inv))
+        unit = (1,) + (0,) * self.order
+        return TruncatedSeries(self.order, _quotient(unit, self.coeffs))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -108,19 +143,63 @@ class TruncatedSeries:
         return TruncatedSeries(order, self.coeffs[: order + 1])
 
     def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-                t = "t" if i == 1 else f"t^{i}"
-                terms.append(("-" if c < 0 else "+") + f" {mag}{t}"
-                             if terms else ("-" if c < 0 else "") + f"{mag}{t}")
-        body = " ".join(terms) if terms else "0"
-        return f"{body} + O(t^{self.order + 1})"
+        return f"{_terms(enumerate(self.coeffs))} + O(t^{self.order + 1})"
+
+
+@dataclass(frozen=True)
+class IntPolynomial:
+    """Dense integer polynomial, constant term first, no trailing zeros."""
+
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        c = tuple(self.coeffs)
+        while c and c[-1] == 0:
+            c = c[:-1]
+        object.__setattr__(self, "coeffs", c)
+
+    @property
+    def degree(self) -> int:
+        """Degree, with -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def __call__(self, x: int) -> int:
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+        return IntPolynomial(_sum(self.coeffs, other.coeffs, 1))
+
+    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
+        return IntPolynomial(_sum(self.coeffs, other.coeffs, -1))
+
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        a, b = self.coeffs, other.coeffs
+        return IntPolynomial(_product(a, b, len(a) + len(b) - 1))
+
+    def __pow__(self, k: int) -> "IntPolynomial":
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        # a ** k has degree k * deg(a), and no coefficient above it is needed
+        return IntPolynomial(_power(self.coeffs, k, k * max(self.degree, 0) + 1))
+
+    def coefficient(self, d: int) -> int:
+        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
+
+    def substitute_negated(self) -> "IntPolynomial":
+        """The polynomial p(-t)."""
+        return IntPolynomial(
+            tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
+        )
+
+    def as_series(self, order: int) -> TruncatedSeries:
+        coeffs = [self.coefficient(i) for i in range(order + 1)]
+        return TruncatedSeries(order, tuple(coeffs))
+
+    def __str__(self):
+        return _terms(reversed(list(enumerate(self.coeffs))))
 
 
 def one(order: int) -> TruncatedSeries:

@@ -2,6 +2,10 @@
 
 Each follows its definition directly, with no shared search or shortcut, so
 the faster versions in glcs are tested for identical results against them.
+Integer polynomials and truncated series are plain coefficient tuples here,
+with the package's earlier operator bodies, each its own loop; the series
+routines multiply, power and divide with these, never with the shared
+kernels of glcs.series.
 The holonomy oracle at the end is the package's earlier one, in the Lyndon
 basis of the free Lie algebra; it takes its presentation from the
 reference above and shares only the exact echelon with glcs.
@@ -216,11 +220,141 @@ def chromatic_polynomial(g: Graph) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _strip(coeffs) -> tuple[int, ...]:
+    c = tuple(coeffs)
+    while c and c[-1] == 0:
+        c = c[:-1]
+    return c
+
+
+def poly_add(a, b) -> tuple[int, ...]:
+    a, b = _strip(a), _strip(b)
+    if len(a) < len(b):
+        a, b = b, a
+    return _strip(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+
+def poly_sub(a, b) -> tuple[int, ...]:
+    return poly_add(a, tuple(-c for c in _strip(b)))
+
+
+def poly_mul(a, b) -> tuple[int, ...]:
+    a, b = _strip(a), _strip(b)
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _strip(out)
+
+
+def poly_pow(a, k: int) -> tuple[int, ...]:
+    if k < 0:
+        raise ValueError("negative power of a polynomial")
+    result, base = (1,), _strip(a)
+    while k:
+        if k & 1:
+            result = poly_mul(result, base)
+        base = poly_mul(base, base)
+        k >>= 1
+    return result
+
+
+def poly_str(a) -> str:
+    """Highest degree first, as t^3 - 3*t^2 + 2*t; 0 for no terms."""
+    a = _strip(a)
+    if not a:
+        return "0"
+    parts = []
+    for i in range(len(a) - 1, -1, -1):
+        c = a[i]
+        if c == 0:
+            continue
+        mono = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
+        if i > 0 and abs(c) != 1:
+            mono = f"{abs(c)}*{mono}"
+        elif i == 0:
+            mono = str(abs(c))
+        if not parts:
+            parts.append(("-" if c < 0 else "") + mono)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + mono)
+    return " ".join(parts)
+
+
+def series_add(a, b) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def series_sub(a, b) -> tuple[int, ...]:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def series_mul(a, b) -> tuple[int, ...]:
+    """a * b truncated to len(a) coefficients."""
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[: n + 1 - i]):
+            if y:
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def series_reciprocal(a) -> tuple[int, ...]:
+    """1 / a to len(a) coefficients; a's constant term must be 1 or -1."""
+    c0 = a[0]
+    if c0 not in (1, -1):
+        raise ValueError(f"series is not a unit over Z (constant term {c0})")
+    n = len(a) - 1
+    inv = [c0] + [0] * n
+    for k in range(1, n + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            acc += a[i] * inv[k - i]
+        inv[k] = -c0 * acc
+    return tuple(inv)
+
+
+def series_pow(a, k: int) -> tuple[int, ...]:
+    if k < 0:
+        return series_pow(series_reciprocal(a), -k)
+    result = (1,) + (0,) * (len(a) - 1)
+    base = tuple(a)
+    while k:
+        if k & 1:
+            result = series_mul(result, base)
+        base = series_mul(base, base)
+        k >>= 1
+    return result
+
+
+def series_str(a) -> str:
+    """Lowest degree first, as 1 - 3*t + 2*t^2 + O(t^4)."""
+    terms = []
+    for i, c in enumerate(a):
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            mag = "" if abs(c) == 1 else str(abs(c)) + "*"
+            t = "t" if i == 1 else f"t^{i}"
+            terms.append(("-" if c < 0 else "+") + f" {mag}{t}"
+                         if terms else ("-" if c < 0 else "") + f"{mag}{t}")
+    body = " ".join(terms) if terms else "0"
+    return f"{body} + O(t^{len(a)})"
+
+
 def expand_lcs_product(phi, order: int) -> TruncatedSeries:
     """prod_k (1 - t^k)^(phi_k) by repeated squaring of each factor."""
     if order > len(phi):
         raise ValueError(f"order {order} needs {order} ranks, got {len(phi)}")
-    result = one(order)
+    result = one(order).coeffs
     for k, p in enumerate(phi, start=1):
         if k > order:
             break
@@ -229,25 +363,26 @@ def expand_lcs_product(phi, order: int) -> TruncatedSeries:
         coeffs = [0] * (order + 1)
         coeffs[0] = 1
         coeffs[k] = -1
-        result = result * TruncatedSeries(order, tuple(coeffs)) ** p
-    return result
+        result = series_mul(result, series_pow(coeffs, p))
+    return TruncatedSeries(order, result)
 
 
 def expand_product(exponents, order: int) -> TruncatedSeries:
     """prod_j (1 - j*t)^(e_j), each factor raised to its power by squaring."""
-    result = one(order)
+    result = one(order).coeffs
     for j, e in enumerate(exponents, start=1):
         if e:
-            result = result * linear_factor(j, order) ** e
-    return result
+            factor = linear_factor(j, order).coeffs
+            result = series_mul(result, series_pow(factor, e))
+    return TruncatedSeries(order, result)
 
 
 def braid_series(n: int, order: int) -> TruncatedSeries:
     """prod_{i=1}^{n-1} (1 - i*t), one series product per factor."""
-    result = one(order)
+    result = one(order).coeffs
     for i in range(1, n):
-        result = result * linear_factor(i, order)
-    return result
+        result = series_mul(result, linear_factor(i, order).coeffs)
+    return TruncatedSeries(order, result)
 
 
 def glue_series(
@@ -258,7 +393,10 @@ def glue_series(
         raise ValueError("series orders differ")
     if seam.coeffs[0] != 1:
         raise ValueError("seam series must have constant term 1")
-    return u1 * u2 * seam.reciprocal()
+    product = series_mul(u1.coeffs, u2.coeffs)
+    return TruncatedSeries(
+        u1.order, series_mul(product, series_reciprocal(seam.coeffs))
+    )
 
 
 def rank2_flats(g: Graph) -> tuple[Flat2, ...]:

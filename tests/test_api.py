@@ -5,6 +5,8 @@ lists must be disjoint (a later module would silently shadow a name of an
 earlier one) and together they must give exactly the pinned list below.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -103,3 +105,25 @@ def test_star_import_binds_exactly_the_public_names():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == PUBLIC
+
+
+def test_readme_quick_start_prints_its_comments():
+    # the Quick start block of README.md runs as written, and each print
+    # gives the text of the comment beside it
+    root = Path(glcs.__file__).resolve().parents[2]
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [
+        line.split("#", 1)[1].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    assert comments == [
+        "1 - 4*t + 5*t^2 - 2*t^3 + O(t^7)",
+        "(4, 1, 2, 3, 6, 9)",
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == comments

@@ -6,6 +6,7 @@ import pytest
 
 import reference
 from glcs import (
+    IntPolynomial,
     IntegralityError,
     TruncatedSeries,
     expand_lcs_product,
@@ -183,3 +184,89 @@ def test_ranks_from_power_sums_inverts():
 def test_series_str():
     assert str(expand_product((1, 1), 3)) == "1 - 3*t + 2*t^2 + O(t^4)"
     assert str(one(2)) == "1 + O(t^3)"
+
+
+def _random_coeffs(rng, length):
+    return tuple(
+        0 if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(length)
+    )
+
+
+def test_polynomial_operators_match_reference():
+    # seeded coefficient tuples of 0..order+1 entries, trailing zeros
+    # included, at every order 0..20, against the earlier operator bodies
+    rng = random.Random(2020)
+    for order in range(21):
+        for _ in range(4):
+            a = _random_coeffs(rng, rng.randint(0, order + 1))
+            b = _random_coeffs(rng, rng.randint(0, order + 1))
+            p, q = IntPolynomial(a), IntPolynomial(b)
+            assert (p + q).coeffs == reference.poly_add(a, b), (a, b)
+            assert (p - q).coeffs == reference.poly_sub(a, b), (a, b)
+            assert (p * q).coeffs == reference.poly_mul(a, b), (a, b)
+            assert str(p) == reference.poly_str(a), a
+            for k in range(6):
+                assert (p ** k).coeffs == reference.poly_pow(a, k), (a, k)
+
+
+def test_polynomial_edge_cases():
+    zero, t = IntPolynomial(()), IntPolynomial((0, 1))
+    assert (zero + zero).coeffs == ()
+    assert (zero - t).coeffs == (0, -1)
+    assert (zero * t).coeffs == ()
+    assert (t * zero).coeffs == ()
+    assert (zero ** 0).coeffs == (1,)
+    assert (t ** 0).coeffs == (1,)
+    assert (zero ** 1).coeffs == ()
+    assert (zero ** 4).coeffs == ()
+    assert str(zero) == "0"
+    assert str(IntPolynomial((-1, 0, -2, -1))) == "-t^3 - 2*t^2 - 1"
+    assert str(IntPolynomial((5,))) == "5"
+    for p in (zero, t, IntPolynomial((1, 1))):
+        with pytest.raises(ValueError):
+            p ** -1
+
+
+def test_series_operators_match_reference():
+    # seeded series at every order 0..20; the units take constant term 1
+    # and -1, and powers run over -4..4
+    rng = random.Random(2021)
+    for order in range(21):
+        for _ in range(4):
+            a = _random_coeffs(rng, order + 1)
+            b = _random_coeffs(rng, order + 1)
+            f, g = TruncatedSeries(order, a), TruncatedSeries(order, b)
+            assert (f + g).coeffs == reference.series_add(a, b), (a, b)
+            assert (f - g).coeffs == reference.series_sub(a, b), (a, b)
+            assert (f * g).coeffs == reference.series_mul(a, b), (a, b)
+            assert str(f) == reference.series_str(a), a
+            for k in range(5):
+                assert (f ** k).coeffs == reference.series_pow(a, k), (a, k)
+            for c0 in (1, -1):
+                unit = (c0,) + a[1:]
+                u = TruncatedSeries(order, unit)
+                want = reference.series_reciprocal(unit)
+                assert u.reciprocal().coeffs == want, unit
+                for k in range(-4, 5):
+                    want = reference.series_pow(unit, k)
+                    assert (u ** k).coeffs == want, (unit, k)
+            for c0 in (0, 2):
+                s = TruncatedSeries(order, (c0,) + a[1:])
+                with pytest.raises(ValueError):
+                    s.reciprocal()
+                with pytest.raises(ValueError):
+                    s ** -1
+
+
+def test_series_str_cases():
+    cases = {
+        (0, 0, 0): "0 + O(t^3)",
+        (-3, 0, 0, 0): "-3 + O(t^4)",
+        (7,): "7 + O(t^1)",
+        (0, -1, 2): "-t + 2*t^2 + O(t^3)",
+        (0, 0, -4, 1): "-4*t^2 + t^3 + O(t^4)",
+        (-1, -1, 1, -12): "-1 - t + t^2 - 12*t^3 + O(t^4)",
+    }
+    for coeffs, text in cases.items():
+        s = TruncatedSeries(len(coeffs) - 1, coeffs)
+        assert str(s) == text == reference.series_str(coeffs)
