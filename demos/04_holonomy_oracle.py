@@ -6,7 +6,9 @@ The independent check behind everything else: present the holonomy Lie
 algebra on edge generators, build the graded pieces of its enveloping
 algebra by exact integer elimination, read the Lie ranks off their
 dimensions through the Poincare-Birkhoff-Witt theorem, and compare them
-with the closed-form clique formula.
+with the closed-form clique formula.  Past degree 3, phi_bruteforce
+counts normal words instead wherever the relators pass a Groebner-basis
+certificate, as K5's do; graded_dims, given no graph, eliminates.
 
 The oracle never sees the clique counts or the exponents; the two routes
 share nothing but the graph and truncated series arithmetic.

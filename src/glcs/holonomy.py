@@ -16,13 +16,23 @@ exactly before degree k is built.  Each degree's rows are inserted shortest
 first, which changes the fill-in along the way but not the reduced echelon
 form.  No Lie word is ever formed.  No floating point and no modular
 shortcuts: ranks are certified over the rationals.
+
+Degrees 1 to 3 are always eliminated.  Past them, phi_bruteforce offers each
+block a certificate: under some letter order read off the graph, the words
+avoiding the leading pairs of the relators must number exactly dim A_3.
+Then the relators are a quadratic Groebner basis (Bergman's diamond lemma),
+the algebra is PBW, and dim A_k for k >= 4 is counted over the allowed letter
+pairs instead of eliminated.  A block that fails keeps eliminating, so no
+answer rests on trust; a counted degree whose normal forms are needed is
+eliminated on demand and must give the count.  The gate reads the same
+widths, with the same message, whichever way a degree was built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from operator import add
 
@@ -30,7 +40,9 @@ from .errors import FeasibilityError, MismatchError
 from .graphs import (
     Graph,
     _components,
+    _peel,
     _rank2_flats,
+    is_chordal,
     is_triangle_complete,
     split_at_vertex,
 )
@@ -256,12 +268,20 @@ class _Cokernels:
     _Echelon._absorb reduces in place.  The free columns of the degree-k
     echelon are the basis of A_k.  mu[k] maps each column of degree k to
     its normal form in A_k, as (denominator, ((basis index, numerator),
-    ...)); it is built from the echelon only when asked for.  phi[k-1] is
-    phi_k, peeled off dims and checked once, as degree k is built.  The
-    relators are written as in HolonomyPresentation.
+    ...)); it is built from the echelon only when asked for, and top holds
+    the echelon of degree len(mu) until then.  phi[k-1] is phi_k, peeled
+    off dims and checked once, as degree k is built.  The relators are
+    written as in HolonomyPresentation.
+
+    A state that certify accepts is PBW: follows[a] lists the letters that
+    may come after a in a normal word, ends[b] counts the normal words of
+    the top degree that end in b, and each later degree is counted from
+    them instead of eliminated.  tried records that certify has run.
     """
 
-    __slots__ = ("m", "terms", "dims", "phi", "mu", "top")
+    __slots__ = (
+        "m", "terms", "dims", "phi", "mu", "top", "tried", "follows", "ends"
+    )
 
     def __init__(self, m: int, relators):
         self.m = m
@@ -278,9 +298,29 @@ class _Cokernels:
         self.dims = [1, self.m]
         self.mu = [None, [(1, ((a, 1),)) for a in range(self.m)]]
         self.top: _Echelon | None = None
+        self.tried = False
+        self.follows: list[list[int]] | None = None
+        self.ends: list[int] | None = None
 
     def extend(self):
-        """Eliminate the next degree, shortest rows first.
+        """Build the next degree: counted once certified, else eliminated."""
+        k = len(self.dims)
+        if self.follows is None:
+            ech = self._echelon(k)
+            dims = self.dims + [self.m * self.dims[k - 1] - ech.rank]
+        else:
+            ends = _successors(self.ends, self.follows)
+            dims = self.dims + [sum(ends)]
+        # the state changes only once phi_k has passed its check
+        self.phi.append(self._checked(k, _lie_rank(dims, self.phi)))
+        self.dims = dims
+        if self.follows is None:
+            self.top = ech
+        else:
+            self.ends = ends
+
+    def _echelon(self, k: int) -> _Echelon:
+        """The echelon of degree k's rows, inserted shortest first.
 
         A row's key is its term count before cancellation, the sum of
         len mu[k-1](x_b ⊗ g) over its relator's terms; ties keep the
@@ -290,7 +330,6 @@ class _Cokernels:
         per row is held, key * rows + row number; each row is built when
         it is inserted, from terms shifted once to (a * width, b * below, c).
         """
-        k = len(self.dims)
         mu = self.normal_form(k - 1)
         width = self.dims[k - 1]
         below = self.dims[k - 2]
@@ -309,10 +348,49 @@ class _Cokernels:
         for x in order:
             r, g = divmod(x % rows, below)
             ech._absorb(_row(shifted[r], g, mu))
-        # the state changes only once phi_k has passed its check
-        dims = self.dims + [self.m * width - ech.rank]
-        self.phi.append(self._checked(k, _peel(dims, self.phi)))
-        self.dims, self.top = dims, ech
+        return ech
+
+    def certify(self, keys):
+        """Count degrees past 3 from normal words, if some letter order allows.
+
+        keys holds one sort key per letter, a pair; the 8 orders sort the
+        letters by it, each part ascending or descending, the parts swapped
+        or not, plain ascending first.  Under an order, the leading words
+        of R are the pivots of its rows in V ⊗ V, the column of x_a x_b
+        being a * m + b in that order, with the smallest column leading as
+        in _Echelon.  Words with no adjacent pair among them span every
+        A_k; every ambiguity of the rewriting has degree 3, so by Bergman's
+        diamond lemma they are a basis in every degree once they number
+        dim A_3 (a PBW algebra, Priddy 1970).  The first order whose counts
+        equal dims from degree 3 up is kept; with none, the state keeps
+        eliminating.  Runs once per state; the state must hold degree 3.
+        """
+        self.tried = True
+        m = self.m
+        for pos in _orders(keys):
+            leads = self._leading_pairs(pos)
+            # letters renamed by their place in the order
+            follows = [
+                [b for b in range(m) if a * m + b not in leads] for a in range(m)
+            ]
+            ends = [1] * m
+            for k in range(2, len(self.dims)):
+                ends = _successors(ends, follows)
+                if k >= 3 and sum(ends) != self.dims[k]:
+                    break
+            else:
+                self.follows, self.ends = follows, ends
+                return
+
+    def _leading_pairs(self, pos: list[int]):
+        """Pivot columns pos[a] * m + pos[b] of the relator rows in V ⊗ V."""
+        ech = _Echelon()
+        m = self.m
+        for terms in self.terms:
+            # mu[1] is the identity, so _row only collects the terms
+            placed = [(pos[a] * m, pos[b], c) for a, b, c in terms]
+            ech._absorb(_row(placed, 0, self.mu[1]))
+        return ech.pivots.keys()
 
     def _checked(self, k: int, phi: int) -> int:
         """phi, the Lie rank of degree k, once it lies in 0..W(m, k)."""
@@ -325,26 +403,38 @@ class _Cokernels:
         return phi
 
     def normal_form(self, k: int) -> list:
-        """mu[k], built from the degree-k echelon on first use."""
-        if k < len(self.mu):
-            return self.mu[k]
-        ech = self.top
-        pos: dict[int, int] = {}
-        mu: list = []
-        for col in range(self.m * self.dims[k - 1]):
-            if col in ech.pivots:
-                mu.append(None)
-            else:
-                pos[col] = len(pos)
-                mu.append((1, ((pos[col], 1),)))
-        for lead, row in ech.back_reduced().items():
-            mu[lead] = (
-                row[lead],
-                tuple((pos[f], -c) for f, c in row.items() if f != lead),
-            )
-        self.mu.append(mu)
-        self.top = None
-        return mu
+        """mu[k], built from the degree-k echelon on first use.
+
+        A degree that was counted is eliminated here first, and its rank
+        must leave the counted dimension.
+        """
+        while len(self.mu) <= k:
+            j = len(self.mu)
+            ech = self.top
+            if ech is None:
+                ech = self._echelon(j)
+                if self.m * self.dims[j - 1] - ech.rank != self.dims[j]:
+                    raise MismatchError(
+                        f"degree {j} of a block eliminates to dimension "
+                        f"{self.m * self.dims[j - 1] - ech.rank}, not the "
+                        f"{self.dims[j]} normal words counted"
+                    )
+            pos: dict[int, int] = {}
+            mu: list = []
+            for col in range(self.m * self.dims[j - 1]):
+                if col in ech.pivots:
+                    mu.append(None)
+                else:
+                    pos[col] = len(pos)
+                    mu.append((1, ((pos[col], 1),)))
+            for lead, row in ech.back_reduced().items():
+                mu[lead] = (
+                    row[lead],
+                    tuple((pos[f], -c) for f, c in row.items() if f != lead),
+                )
+            self.mu.append(mu)
+            self.top = None
+        return self.mu[k]
 
 
 def _row(terms, g: int, mu) -> dict[int, int]:
@@ -373,7 +463,29 @@ def _row(terms, g: int, mu) -> dict[int, int]:
     return row
 
 
-def _peel(dims, phi: list[int]) -> int:
+def _orders(keys):
+    """The 8 letter orders of certify, each as pos[letter] = place."""
+    for i, j in ((0, 1), (1, 0)):
+        for si, sj in product((1, -1), repeat=2):
+            order = sorted(
+                range(len(keys)), key=lambda a: (si * keys[a][i], sj * keys[a][j])
+            )
+            pos = [0] * len(order)
+            for place, a in enumerate(order):
+                pos[a] = place
+            yield pos
+
+
+def _successors(ends, follows) -> list[int]:
+    """Normal words one letter longer, counted by their last letter."""
+    out = [0] * len(ends)
+    for a, n in enumerate(ends):
+        for b in follows[a]:
+            out[b] += n
+    return out
+
+
+def _lie_rank(dims, phi: list[int]) -> int:
     """phi_k of a graded Lie algebra, k = len(phi) + 1, from dims[i] = dim U_i.
 
     phi holds phi_1..phi_(k-1) and dims at least k + 1 entries.  PBW:
@@ -392,7 +504,11 @@ _state = lru_cache(maxsize=4)(_Cokernels)
 
 
 def _block_states(
-    p: HolonomyPresentation, up_to: int, max_dim: int | None, max_entries: int | None
+    p: HolonomyPresentation,
+    up_to: int,
+    max_dim: int | None,
+    max_entries: int | None,
+    keys=None,
 ) -> tuple:
     """p's direct factors, (letters, cokernels on them) per block, to degree up_to.
 
@@ -406,6 +522,10 @@ def _block_states(
     blocks are the triangle-connected classes of edges.  Each block's
     cokernels come from _state, keyed by (m, re-indexed relators), and
     carry the block's ranks phi, each checked as its degree is built.
+
+    keys, if given, holds a sort key per letter of p, a pair; with
+    up_to >= 4, each state that has not yet tried is certified once, on
+    its block's keys, after degree 3 and before degree 4 is built.
 
     max_dim caps the width of each degree k >= 2, the column count
     m * dim A_{k-1} of the blocks' degree-k matrices, summed; max_entries,
@@ -438,8 +558,8 @@ def _block_states(
             relators[block_of[rel[0][0][0]]].append(
                 tuple(((index[i], index[j]), c) for (i, j), c in rel)
             )
-    keys = zip(map(len, letters), map(tuple, relators))
-    blocks = tuple((tuple(ls), _state(*key)) for ls, key in zip(letters, keys))
+    contents = zip(map(len, letters), map(tuple, relators))
+    blocks = tuple((tuple(ls), _state(*c)) for ls, c in zip(letters, contents))
     for k in range(2, up_to + 1):
         width = sum(s.m * s.dims[k - 1] for _, s in blocks)
         if width > max_dim:
@@ -460,7 +580,9 @@ def _block_states(
                     f"cap {max_entries}; lower the degree",
                     entries=entries,
                 )
-        for _, state in blocks:
+        for ls, state in blocks:
+            if k == 4 and keys is not None and not state.tried:
+                state.certify([keys[a - 1] for a in ls])
             if k == len(state.dims):
                 state.extend()
     return blocks
@@ -490,8 +612,7 @@ def graded_dims(
     recently used blocks' cokernels, of any presentation, are cached by
     content and extended on demand.
     """
-    blocks = _block_states(p, up_to, max_dim, max_entries)
-    phi = tuple(sum(s.phi[k] for _, s in blocks) for k in range(up_to))
+    phi = _ranks(_block_states(p, up_to, max_dim, max_entries), up_to)
     free = [witt_dimension(p.num_generators, k) for k in range(1, up_to + 1)]
     return GradedDims(
         tuple(free), tuple(f - q for f, q in zip(free, phi)), phi
@@ -505,11 +626,36 @@ def phi_bruteforce(
     max_dim: int | None = None,
     max_entries: int | None = None,
 ) -> tuple[int, ...]:
-    """Lower-central-series ranks of the graph's holonomy Lie algebra."""
-    dims = graded_dims(
-        presentation(g), up_to, max_dim=max_dim, max_entries=max_entries
-    )
-    return dims.quotient_dims
+    """Lower-central-series ranks of the graph's holonomy Lie algebra.
+
+    graded_dims' ranks of presentation(g), under the same gate; each block
+    is offered for certification in the letter orders _letter_keys reads
+    off g.
+    """
+    p = presentation(g)
+    blocks = _block_states(p, up_to, max_dim, max_entries, _letter_keys(g, up_to))
+    return _ranks(blocks, up_to)
+
+
+def _ranks(blocks, up_to: int) -> tuple[int, ...]:
+    """phi_1..phi_up_to summed over the blocks' states."""
+    return tuple(sum(s.phi[k] for _, s in blocks) for k in range(up_to))
+
+
+def _letter_keys(g: Graph, up_to: int) -> list[tuple[int, int]] | None:
+    """Per edge, (place of its later endpoint, place of its earlier one).
+
+    Places follow is_chordal's perfect elimination order, or the maximum
+    cardinality search order when g is not chordal.  None below degree
+    4, where _block_states reads no keys.
+    """
+    if up_to < 4:
+        return None
+    chordal, order = is_chordal(g)
+    if not chordal:
+        order = list(_peel(g, lambda v: 0))
+    place = {v: i for i, v in enumerate(order)}
+    return [tuple(sorted((place[u], place[v]), reverse=True)) for u, v in g.edges]
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +755,10 @@ def verify_kernel_generation(
     outside = tuple(
         i for i, e in enumerate(g.edges, start=1) if e not in sub_edges
     )
-    blocks = _block_states(presentation(g), up_to, max_dim, max_entries)
-    phi_g = [sum(s.phi[k] for _, s in blocks) for k in range(up_to)]
+    blocks = _block_states(
+        presentation(g), up_to, max_dim, max_entries, _letter_keys(g, up_to)
+    )
+    phi_g = _ranks(blocks, up_to)
     phi_sub = phi_bruteforce(sub, up_to, max_dim=max_dim, max_entries=max_entries)
     # letters of different blocks commute, so the subalgebra the outside
     # letters generate is the direct sum of the ones generated in each block
@@ -633,7 +781,7 @@ def verify_kernel_generation(
                     ech._absorb(_row(terms, 0, mu))
             span = list(ech.pivots.values())
             dims.append(ech.rank)
-            phi.append(_peel(dims, phi))
+            phi.append(_lie_rank(dims, phi))
         spanned = list(map(add, spanned, phi))
     rows = tuple(
         KernelGenerationRow(k, phi_g[k - 1] - phi_sub[k - 1], spanned[k - 1])

@@ -523,17 +523,59 @@ def test_feasibility_entries_sum_over_blocks():
     assert phi_bruteforce(g, 3, max_entries=entries) == (10, 5, 12)
 
 
+def _wheel(rim: int):
+    # a hub 0 joined to every vertex of the cycle 1..rim
+    cycle = [(i, i % rim + 1) for i in range(1, rim + 1)]
+    return graph_from_edges([(0, i) for i in range(1, rim + 1)] + cycle)
+
+
 def test_phi_bruteforce_degree5_hot_spot():
     # one block each; the width of degree 5 is m * dim A_4: 10 * 1701 for
-    # K5, 9 * 1039 for K5 minus an edge, both within the default cap
+    # K5, 9 * 1039 for K5 minus an edge, 15 * 6951 for K6, 8 * 560 and
+    # 10 * 1120 for the wheels on a 4- and a 5-cycle.  The gate reads the
+    # same widths whether degree 4 was counted or eliminated.
     k5 = complete_graph(5)
     k5_minus_e = graph_from_edges([e for e in k5.edges if e != (3, 4)])
-    for g, width in ((k5, 17010), (k5_minus_e, 9351)):
+    cases = (
+        (k5, 17010, True),
+        (k5_minus_e, 9351, True),
+        (complete_graph(6), 104_265, True),
+        (_wheel(4), 4480, False),
+        (_wheel(5), 11200, False),
+    )
+    for g, width, certified in cases:
+        holonomy._state.cache_clear()
         want = phi_from_exponents(graphic_exponents(clique_vector(g)), 5)
         assert phi_bruteforce(g, 5) == want
+        # the wheels' blocks are not PBW in any of the 8 letter orders, so
+        # they fall back to elimination
+        [(_, state)] = holonomy._block_states(presentation(g), 1, None, None)
+        assert state.tried
+        assert (state.follows is not None) == certified, g.edges
         with pytest.raises(FeasibilityError) as exc:
             phi_bruteforce(g, 5, max_dim=width - 1)
         assert exc.value.dimension == width
+        assert phi_bruteforce(g, 5, max_dim=width) == want
+
+
+def test_counted_ranks_equal_eliminated_ranks():
+    # phi_bruteforce certifies where it can and counts degree 4; graded_dims
+    # on a cleared cache has no letter order and eliminates every degree
+    for n in range(1, 7):
+        for g in representatives(n):
+            p = presentation(g)
+            holonomy._state.cache_clear()
+            counted = phi_bruteforce(g, 4)
+            states = [s for _, s in holonomy._block_states(p, 1, None, None)]
+            assert all(s.tried for s in states)
+            if glcs.is_chordal(g)[0]:
+                # a chordal graph's blocks are PBW (Koszul, supersolvable)
+                assert all(s.follows is not None for s in states), g.edges
+            holonomy._state.cache_clear()
+            eliminated = graded_dims(p, 4).quotient_dims
+            states = [s for _, s in holonomy._block_states(p, 1, None, None)]
+            assert not any(s.tried for s in states)
+            assert counted == eliminated, g.edges
 
 
 def test_phi_bruteforce_single_edge():
@@ -822,16 +864,40 @@ _CERTIFICATE_CASES = {
         "glcs.graphs._verify_elimination_order = lambda g, elim: (0, 1, 2)",
         "glcs.is_chordal(glcs.graph_from_edges([(0, 1), (0, 2)]))",
     ),
+    "counted_dimension_eliminated_on_demand": (
+        # K4's block is certified, so degree 4 is counted, one too many;
+        # kernel generation needs its normal forms and eliminates it
+        "extend = glcs.holonomy._Cokernels.extend\n"
+        "def bumped(self):\n"
+        "    extend(self)\n"
+        "    if self.follows is not None and len(self.dims) == 5:\n"
+        "        self.dims[4] += 1\n"
+        "glcs.holonomy._Cokernels.extend = bumped",
+        "glcs.verify_kernel_generation(glcs.complete_graph(4), "
+        "glcs.complete_graph(3), 4)",
+    ),
 }
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run script under python -O with glcs importable.
+
+    A bare assert goes first, so the run fails unless -O strips asserts.
+    """
+    script = "assert False, 'python -O did not strip asserts'\n" + script
+    env = dict(os.environ)
+    src = str(Path(glcs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
 
 
 @pytest.mark.parametrize("case", sorted(_CERTIFICATE_CASES))
 def test_certificate_raises_under_optimize(case):
     patch, call = _CERTIFICATE_CASES[case]
-    # the bare assert fails the run unless -O really strips asserts
-    script = (
+    proc = _run_optimized(
         "import sys, glcs\n"
-        "assert False, 'python -O did not strip asserts'\n"
         f"{patch}\n"
         "try:\n"
         f"    {call}\n"
@@ -840,11 +906,34 @@ def test_certificate_raises_under_optimize(case):
         "    sys.exit(0)\n"
         "sys.exit('certificate did not fire')\n"
     )
-    env = dict(os.environ)
-    src = str(Path(glcs.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("MismatchError:")
+
+
+def test_wrong_leading_pairs_fall_back_under_optimize():
+    # one leading pair dropped, picked by a seeded choice, lets more words
+    # through than A_3 has: each block with a pair to drop must fail its
+    # certificate and eliminate, and the ranks stay right
+    proc = _run_optimized(
+        "import random, glcs\n"
+        "from glcs import holonomy\n"
+        "rng = random.Random(21)\n"
+        "leading = holonomy._Cokernels._leading_pairs\n"
+        "def dropped(self, pos):\n"
+        "    leads = set(leading(self, pos))\n"
+        "    return leads - {rng.choice(sorted(leads))} if leads else leads\n"
+        "holonomy._Cokernels._leading_pairs = dropped\n"
+        "g = glcs.graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), "
+        "(2, 3), (3, 4), (3, 5), (4, 5), (0, 6)])\n"
+        "print(glcs.phi_bruteforce(g, 5))\n"
+        "blocks = holonomy._block_states(glcs.presentation(g), 1, None, None)\n"
+        "print([(s.m, s.tried, s.follows is None) for _, s in blocks])\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    e = graphic_exponents(clique_vector(_k4_triangle_pendant()))
+    want = phi_from_exponents(e, 5)
+    assert proc.stdout.splitlines() == [
+        str(want),
+        # the pendant letter has no leading pair, so nothing to drop
+        "[(6, True, True), (1, True, False), (3, True, True)]",
+    ]
