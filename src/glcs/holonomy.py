@@ -18,21 +18,22 @@ form.  No Lie word is ever formed.  No floating point and no modular
 shortcuts: ranks are certified over the rationals.
 
 Degrees 1 to 3 are always eliminated.  Past them, phi_bruteforce offers each
-block a certificate: under some letter order read off the graph, the words
-avoiding the leading pairs of the relators must number exactly dim A_3.
-Then the relators are a quadratic Groebner basis (Bergman's diamond lemma),
-the algebra is PBW, and dim A_k for k >= 4 is counted over the allowed letter
-pairs instead of eliminated.  A block that fails keeps eliminating, so no
-answer rests on trust; a counted degree whose normal forms are needed is
-eliminated on demand and must give the count.  The gate reads the same
-widths, with the same message, whichever way a degree was built.
+block a certificate: under one letter order, read off the graph the block's
+own edges span by maximum cardinality search, the words avoiding the leading
+pairs of the relators must number exactly dim A_3.  Then the relators are a
+quadratic Groebner basis (Bergman's diamond lemma), the algebra is PBW, and
+dim A_k for k >= 4 is counted over the allowed letter pairs instead of
+eliminated.  A block that fails keeps eliminating, so no answer rests on
+trust; a counted degree whose normal forms are needed is eliminated on
+demand and must give the count.  The gate reads the same widths, with the
+same message, whichever way a degree was built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from operator import add
 
@@ -42,7 +43,7 @@ from .graphs import (
     _components,
     _peel,
     _rank2_flats,
-    is_chordal,
+    graph_from_edges,
     is_triangle_complete,
     split_at_vertex,
 )
@@ -98,12 +99,6 @@ class _Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def copy(self) -> "_Echelon":
-        # rows are never mutated after insertion, so sharing them is safe
-        dup = _Echelon()
-        dup.pivots = dict(self.pivots)
-        return dup
 
     def insert(self, row: dict[int, int]) -> bool:
         """Reduce a row against the basis; add it if independent.
@@ -350,37 +345,30 @@ class _Cokernels:
             ech._absorb(_row(shifted[r], g, mu))
         return ech
 
-    def certify(self, keys):
-        """Count degrees past 3 from normal words, if some letter order allows.
+    def certify(self, pos: list[int]):
+        """Count degrees past 3 from normal words, if the letter order allows.
 
-        keys holds one sort key per letter, a pair; the 8 orders sort the
-        letters by it, each part ascending or descending, the parts swapped
-        or not, plain ascending first.  Under an order, the leading words
-        of R are the pivots of its rows in V ⊗ V, the column of x_a x_b
-        being a * m + b in that order, with the smallest column leading as
-        in _Echelon.  Words with no adjacent pair among them span every
+        pos[a] is letter a's place in the order.  Under it, the leading
+        words of R are the pivots of its rows in V ⊗ V, the column of
+        x_a x_b being pos[a] * m + pos[b], with the smallest column leading
+        as in _Echelon.  Words with no adjacent pair among them span every
         A_k; every ambiguity of the rewriting has degree 3, so by Bergman's
         diamond lemma they are a basis in every degree once they number
-        dim A_3 (a PBW algebra, Priddy 1970).  The first order whose counts
-        equal dims from degree 3 up is kept; with none, the state keeps
+        dim A_3 (a PBW algebra, Priddy 1970).  If the counts equal dims
+        from degree 3 up they are kept; if not, the state keeps
         eliminating.  Runs once per state; the state must hold degree 3.
         """
         self.tried = True
         m = self.m
-        for pos in _orders(keys):
-            leads = self._leading_pairs(pos)
-            # letters renamed by their place in the order
-            follows = [
-                [b for b in range(m) if a * m + b not in leads] for a in range(m)
-            ]
-            ends = [1] * m
-            for k in range(2, len(self.dims)):
-                ends = _successors(ends, follows)
-                if k >= 3 and sum(ends) != self.dims[k]:
-                    break
-            else:
-                self.follows, self.ends = follows, ends
+        leads = self._leading_pairs(pos)
+        # letters renamed by their place in the order
+        follows = [[b for b in range(m) if a * m + b not in leads] for a in range(m)]
+        ends = [1] * m
+        for k in range(2, len(self.dims)):
+            ends = _successors(ends, follows)
+            if k >= 3 and sum(ends) != self.dims[k]:
                 return
+        self.follows, self.ends = follows, ends
 
     def _leading_pairs(self, pos: list[int]):
         """Pivot columns pos[a] * m + pos[b] of the relator rows in V ⊗ V."""
@@ -463,17 +451,24 @@ def _row(terms, g: int, mu) -> dict[int, int]:
     return row
 
 
-def _orders(keys):
-    """The 8 letter orders of certify, each as pos[letter] = place."""
-    for i, j in ((0, 1), (1, 0)):
-        for si, sj in product((1, -1), repeat=2):
-            order = sorted(
-                range(len(keys)), key=lambda a: (si * keys[a][i], sj * keys[a][j])
-            )
-            pos = [0] * len(order)
-            for place, a in enumerate(order):
-                pos[a] = place
-            yield pos
+def _flag_order(edges) -> list[int]:
+    """pos[letter] = place, for a block whose letters are these edges.
+
+    Maximum cardinality search visits the vertices of the graph the edges
+    span; the letters are sorted by (visit of the later-visited endpoint,
+    visit of the earlier one).  On a chordal graph the prefixes of the
+    search span a modular flag, along which the relators are expected to
+    form a quadratic Groebner basis; certify checks it, never trusts it.
+    """
+    visit = {v: i for i, v in enumerate(_peel(graph_from_edges(edges), lambda v: 0))}
+    order = sorted(
+        range(len(edges)),
+        key=lambda a: sorted((visit[v] for v in edges[a]), reverse=True),
+    )
+    pos = [0] * len(edges)
+    for place, a in enumerate(order):
+        pos[a] = place
+    return pos
 
 
 def _successors(ends, follows) -> list[int]:
@@ -508,7 +503,7 @@ def _block_states(
     up_to: int,
     max_dim: int | None,
     max_entries: int | None,
-    keys=None,
+    edges=None,
 ) -> tuple:
     """p's direct factors, (letters, cokernels on them) per block, to degree up_to.
 
@@ -523,9 +518,10 @@ def _block_states(
     cokernels come from _state, keyed by (m, re-indexed relators), and
     carry the block's ranks phi, each checked as its degree is built.
 
-    keys, if given, holds a sort key per letter of p, a pair; with
-    up_to >= 4, each state that has not yet tried is certified once, on
-    its block's keys, after degree 3 and before degree 4 is built.
+    edges, if given, holds the graph edge of each letter of p; with
+    up_to >= 4, each state that has not yet tried is certified once, in
+    the order _flag_order reads off its block's edges, after degree 3 and
+    before degree 4 is built.
 
     max_dim caps the width of each degree k >= 2, the column count
     m * dim A_{k-1} of the blocks' degree-k matrices, summed; max_entries,
@@ -581,8 +577,8 @@ def _block_states(
                     entries=entries,
                 )
         for ls, state in blocks:
-            if k == 4 and keys is not None and not state.tried:
-                state.certify([keys[a - 1] for a in ls])
+            if k == 4 and edges is not None and not state.tried:
+                state.certify(_flag_order([edges[a - 1] for a in ls]))
             if k == len(state.dims):
                 state.extend()
     return blocks
@@ -628,34 +624,17 @@ def phi_bruteforce(
 ) -> tuple[int, ...]:
     """Lower-central-series ranks of the graph's holonomy Lie algebra.
 
-    graded_dims' ranks of presentation(g), under the same gate; each block
-    is offered for certification in the letter orders _letter_keys reads
-    off g.
+    graded_dims' ranks of presentation(g), under the same gate; past
+    degree 3, each block is offered for certification in the letter order
+    _flag_order reads off the block's own edges.
     """
-    p = presentation(g)
-    blocks = _block_states(p, up_to, max_dim, max_entries, _letter_keys(g, up_to))
+    blocks = _block_states(presentation(g), up_to, max_dim, max_entries, g.edges)
     return _ranks(blocks, up_to)
 
 
 def _ranks(blocks, up_to: int) -> tuple[int, ...]:
     """phi_1..phi_up_to summed over the blocks' states."""
     return tuple(sum(s.phi[k] for _, s in blocks) for k in range(up_to))
-
-
-def _letter_keys(g: Graph, up_to: int) -> list[tuple[int, int]] | None:
-    """Per edge, (place of its later endpoint, place of its earlier one).
-
-    Places follow is_chordal's perfect elimination order, or the maximum
-    cardinality search order when g is not chordal.  None below degree
-    4, where _block_states reads no keys.
-    """
-    if up_to < 4:
-        return None
-    chordal, order = is_chordal(g)
-    if not chordal:
-        order = list(_peel(g, lambda v: 0))
-    place = {v: i for i, v in enumerate(order)}
-    return [tuple(sorted((place[u], place[v]), reverse=True)) for u, v in g.edges]
 
 
 # ---------------------------------------------------------------------------
@@ -755,9 +734,7 @@ def verify_kernel_generation(
     outside = tuple(
         i for i, e in enumerate(g.edges, start=1) if e not in sub_edges
     )
-    blocks = _block_states(
-        presentation(g), up_to, max_dim, max_entries, _letter_keys(g, up_to)
-    )
+    blocks = _block_states(presentation(g), up_to, max_dim, max_entries, g.edges)
     phi_g = _ranks(blocks, up_to)
     phi_sub = phi_bruteforce(sub, up_to, max_dim=max_dim, max_entries=max_entries)
     # letters of different blocks commute, so the subalgebra the outside

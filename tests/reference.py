@@ -8,13 +8,16 @@ routines multiply, power and divide with these, never with the shared
 kernels of glcs.series.
 The holonomy oracle at the end is the package's earlier one, in the Lyndon
 basis of the free Lie algebra; it takes its presentation from the
-reference above and shares only the exact echelon with glcs.
+reference above and eliminates with its own exact echelon, a copy of the
+package's at the time it was split off, so no change to glcs's echelon
+reaches it.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+from math import gcd
 
 from glcs import (
     Flat2,
@@ -27,7 +30,7 @@ from glcs import (
     Node,
     witt_dimension,
 )
-from glcs.holonomy import KernelGenerationRow, _Echelon
+from glcs.holonomy import KernelGenerationRow
 from glcs.series import TruncatedSeries, linear_factor, one
 
 
@@ -453,6 +456,82 @@ def presentation(g: Graph) -> HolonomyPresentation:
 # coordinates and the ideal is eliminated exactly.  glcs computes the same
 # dimensions from the enveloping algebra instead, and never forms a Lie word.
 
+class Echelon:
+    """Incremental echelon basis over Z, rows keyed by their smallest index.
+
+    Stored rows are primitive with a positive leading coefficient and are
+    never mutated after insertion.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def copy(self) -> "Echelon":
+        # rows are never mutated after insertion, so sharing them is safe
+        dup = Echelon()
+        dup.pivots = dict(self.pivots)
+        return dup
+
+    def insert(self, row: dict[int, int]) -> bool:
+        """Reduce a row against the basis; add it if independent.
+
+        The row may hold zeros; it is copied without them and left alone.
+        """
+        work = {k: c for k, c in row.items() if c}
+        pivots = self.pivots
+        while work:
+            lead = min(work)
+            prow = pivots.get(lead)
+            if prow is None:
+                a = work[lead]
+                if a == -1:
+                    for k in work:
+                        work[k] = -work[k]
+                elif a != 1:
+                    _strip_gcd(work, make_positive_at=lead)
+                pivots[lead] = dict(work)
+                return True
+            _cancel(work, prow, lead)
+        return False
+
+
+def _cancel(work: dict[int, int], prow: dict[int, int], key: int):
+    """Clear work[key] with prow, whose entry there is positive, in place."""
+    a = work[key]
+    b = prow[key]
+    g = gcd(a, b)
+    ma = b // g
+    mb = a // g
+    if ma != 1:
+        for k in work:
+            work[k] *= ma
+    for k, c in prow.items():
+        n = work.get(k, 0) - mb * c
+        if n:
+            work[k] = n
+        else:
+            del work[k]
+    if ma != 1:
+        _strip_gcd(work)
+
+
+def _strip_gcd(row: dict[int, int], make_positive_at: int | None = None):
+    g = 0
+    for c in row.values():
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if make_positive_at is not None and row.get(make_positive_at, 1) < 0:
+        g = -g
+    if g not in (0, 1):
+        for k in row:
+            row[k] //= g
+
+
 def lyndon_basis(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All Lyndon words of length k over letters 1..m, in lexicographic order.
 
@@ -600,16 +679,16 @@ def _lyndon_index(m: int, k: int):
     return entry
 
 
-def ideal_echelons(p: HolonomyPresentation, up_to: int) -> dict[int, _Echelon]:
+def ideal_echelons(p: HolonomyPresentation, up_to: int) -> dict[int, Echelon]:
     """Degree -> echelon of the relator ideal in Lyndon coordinates, k >= 2.
 
     Degree k is spanned by brackets of a degree-(k-1) basis with the
     generators, since the ideal is generated in degree 2.
     """
     m = p.num_generators
-    state: dict[int, _Echelon] = {}
+    state: dict[int, Echelon] = {}
     for k in range(2, up_to + 1):
-        ech = _Echelon()
+        ech = Echelon()
         ranks = _lyndon_index(m, k)[1]
         if k == 2:
             for rel in p.relators:
@@ -644,7 +723,7 @@ def graded_dims(p: HolonomyPresentation, up_to: int) -> GradedDims:
     return _dims(p, ideal_echelons(p, up_to), up_to)
 
 
-def _dims(p: HolonomyPresentation, state: dict[int, _Echelon], up_to: int) -> GradedDims:
+def _dims(p: HolonomyPresentation, state: dict[int, Echelon], up_to: int) -> GradedDims:
     free = [witt_dimension(p.num_generators, k) for k in range(1, up_to + 1)]
     ideal = [0] + [state[k].rank for k in range(2, up_to + 1)]
     return GradedDims(
@@ -669,7 +748,7 @@ def verify_kernel_generation(g: Graph, sub: Graph, up_to: int) -> KernelGenerati
     rows = []
     for k in range(1, up_to + 1):
         ranks = _lyndon_index(g.n_edges, k)[1]
-        ech = state[k].copy() if k >= 2 else _Echelon()
+        ech = state[k].copy() if k >= 2 else Echelon()
         added = 0
         for w in lyndon_basis(len(outside), k):
             if ech.insert({ranks[tuple(outside[i - 1] for i in w)]: 1}):

@@ -166,15 +166,6 @@ def test_echelon_exactness_no_spurious_rank():
     assert not ech.insert({0: big + 1, 1: big + 1})
 
 
-def test_echelon_copy_isolation():
-    ech = _Echelon()
-    ech.insert({0: 1, 2: 5})
-    dup = ech.copy()
-    assert dup.insert({1: 1})
-    assert ech.rank == 1
-    assert dup.rank == 2
-
-
 def _fraction_ranks(rows, ncols):
     """Rank after each row, by Gaussian elimination over the rationals."""
     basis = {}  # leading column -> row scaled to lead 1
@@ -275,12 +266,6 @@ def test_echelon_stored_rows_never_change():
     for row in rows[30:45]:
         ech.insert(row)
     assert {k: ech.pivots[k] for k in snapshot} == snapshot
-    snapshot = copy.deepcopy(ech.pivots)
-    dup = ech.copy()
-    for row in rows[45:] + [{j: 1} for j in range(14)]:
-        dup.insert(row)
-    assert dup.rank == 14
-    assert ech.pivots == snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +326,7 @@ def test_third_triangle_bracket_in_span():
             (g.edge_index(u, v), g.edge_index(u, w), g.edge_index(v, w))
         )
         third = {(a, c): -1, (b, c): -1}
-        assert not ech.copy().insert(third)
+        assert not ech.insert(third)
 
 
 # ---------------------------------------------------------------------------
@@ -530,26 +515,35 @@ def _wheel(rim: int):
 
 
 def test_phi_bruteforce_degree5_hot_spot():
-    # one block each; the width of degree 5 is m * dim A_4: 10 * 1701 for
-    # K5, 9 * 1039 for K5 minus an edge, 15 * 6951 for K6, 8 * 560 and
-    # 10 * 1120 for the wheels on a 4- and a 5-cycle.  The gate reads the
-    # same widths whether degree 4 was counted or eliminated.
+    # the width of degree 5 is m * dim A_4 summed over the blocks: 10 * 1701
+    # for K5, 9 * 1039 for K5 minus an edge, 15 * 6951 for K6, 8 * 560 and
+    # 10 * 1120 for the wheels on a 4- and a 5-cycle, each one block, and
+    # 14 * 4053 + 1 for a non-chordal graph whose 14-letter block has a
+    # chordal edge graph.  The gate reads the same widths whether degree 4
+    # was counted or eliminated.
     k5 = complete_graph(5)
     k5_minus_e = graph_from_edges([e for e in k5.edges if e != (3, 4)])
+    chordal_block = graph_from_edges(
+        [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4),
+         (1, 6), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6)]
+    )
     cases = (
         (k5, 17010, True),
         (k5_minus_e, 9351, True),
         (complete_graph(6), 104_265, True),
         (_wheel(4), 4480, False),
         (_wheel(5), 11200, False),
+        (chordal_block, 56743, True),
     )
     for g, width, certified in cases:
         holonomy._state.cache_clear()
         want = phi_from_exponents(graphic_exponents(clique_vector(g)), 5)
         assert phi_bruteforce(g, 5) == want
-        # the wheels' blocks are not PBW in any of the 8 letter orders, so
-        # they fall back to elimination
-        [(_, state)] = holonomy._block_states(presentation(g), 1, None, None)
+        # the wheels' blocks are not PBW in the letter order read off their
+        # edges, so they fall back to elimination; the largest block is
+        # the one checked
+        blocks = holonomy._block_states(presentation(g), 1, None, None)
+        state = max((s for _, s in blocks), key=lambda s: s.m)
         assert state.tried
         assert (state.follows is not None) == certified, g.edges
         with pytest.raises(FeasibilityError) as exc:
@@ -560,22 +554,40 @@ def test_phi_bruteforce_degree5_hot_spot():
 
 def test_counted_ranks_equal_eliminated_ranks():
     # phi_bruteforce certifies where it can and counts degree 4; graded_dims
-    # on a cleared cache has no letter order and eliminates every degree
+    # on a cleared cache has no letter order and eliminates every degree.
+    # The order is read off each block's own edges, so certification must
+    # not depend on vertex ids: each class runs as given and relabelled.
+    rng = random.Random(22)
     for n in range(1, 7):
         for g in representatives(n):
-            p = presentation(g)
-            holonomy._state.cache_clear()
-            counted = phi_bruteforce(g, 4)
-            states = [s for _, s in holonomy._block_states(p, 1, None, None)]
-            assert all(s.tried for s in states)
-            if glcs.is_chordal(g)[0]:
-                # a chordal graph's blocks are PBW (Koszul, supersolvable)
-                assert all(s.follows is not None for s in states), g.edges
-            holonomy._state.cache_clear()
-            eliminated = graded_dims(p, 4).quotient_dims
-            states = [s for _, s in holonomy._block_states(p, 1, None, None)]
-            assert not any(s.tried for s in states)
-            assert counted == eliminated, g.edges
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = graph_from_edges(
+                [(perm[u], perm[v]) for u, v in g.edges], range(n)
+            )
+            for h in (g, relabelled):
+                _check_counted_ranks(h)
+
+
+def _check_counted_ranks(g):
+    p = presentation(g)
+    holonomy._state.cache_clear()
+    counted = phi_bruteforce(g, 4)
+    blocks = holonomy._block_states(p, 1, None, None)
+    assert all(s.tried for _, s in blocks)
+    if glcs.is_chordal(g)[0]:
+        # a chordal graph's blocks are PBW (Koszul, supersolvable)
+        assert all(s.follows is not None for _, s in blocks), g.edges
+    for letters, s in blocks:
+        # so is each block whose own edge graph is chordal
+        own = graph_from_edges([g.edges[a - 1] for a in letters])
+        if glcs.is_chordal(own)[0]:
+            assert s.follows is not None, (g.edges, letters)
+    holonomy._state.cache_clear()
+    eliminated = graded_dims(p, 4).quotient_dims
+    states = [s for _, s in holonomy._block_states(p, 1, None, None)]
+    assert not any(s.tried for s in states)
+    assert counted == eliminated, g.edges
 
 
 def test_phi_bruteforce_single_edge():
@@ -911,9 +923,10 @@ def test_certificate_raises_under_optimize(case):
 
 
 def test_wrong_leading_pairs_fall_back_under_optimize():
-    # one leading pair dropped, picked by a seeded choice, lets more words
-    # through than A_3 has: each block with a pair to drop must fail its
-    # certificate and eliminate, and the ranks stay right
+    # one leading pair dropped from the block's one letter order, picked by
+    # a seeded choice, lets more words through than A_3 has: each block
+    # with a pair to drop must fail its certificate and eliminate, and the
+    # ranks stay right
     proc = _run_optimized(
         "import random, glcs\n"
         "from glcs import holonomy\n"
