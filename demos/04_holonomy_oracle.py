@@ -7,8 +7,10 @@ algebra on edge generators, build the graded pieces of its enveloping
 algebra by exact integer elimination, read the Lie ranks off their
 dimensions through the Poincare-Birkhoff-Witt theorem, and compare them
 with the closed-form clique formula.  Past degree 3, phi_bruteforce
-counts normal words instead wherever the relators pass a Groebner-basis
-certificate, as K5's do; graded_dims, given no graph, eliminates.
+counts normal words instead: K5's relators already form a quadratic
+Groebner basis, and a wheel's are completed to one degree by degree, by
+adding the rules that resolve their overlaps.  graded_dims, given no
+graph, eliminates.
 
 The oracle never sees the clique counts or the exponents; the two routes
 share nothing but the graph and truncated series arithmetic.
@@ -63,3 +65,17 @@ print()
 print("triangle + pendant edge:")
 print("  oracle: ", phi_bruteforce(g, 4))
 print("  formula:", phi_from_exponents(graphic_exponents(clique_vector(g)), 4))
+
+# the wheel on a 5-cycle: its relators are no quadratic Groebner basis in
+# the letter order read off its edges, so degree 3 adds the rules that
+# resolve their overlaps, and degrees 4 and 5 are counted from them
+wheel = graph_from_edges(
+    [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)] + [(i, 5) for i in range(5)]
+)
+phi_oracle = phi_bruteforce(wheel, 5)
+phi_formula = phi_from_exponents(graphic_exponents(clique_vector(wheel)), 5)
+print()
+print("wheel on a 5-cycle, to degree 5:")
+print("  oracle: ", phi_oracle)
+print("  formula:", phi_formula)
+assert phi_oracle == phi_formula

@@ -19,20 +19,25 @@ shortcuts: ranks are certified over the rationals.
 
 Degrees 1 to 3 are always eliminated.  Past them, phi_bruteforce offers each
 block a certificate: under one letter order, read off the graph the block's
-own edges span by maximum cardinality search, the words avoiding the leading
-pairs of the relators must number exactly dim A_3.  Then the relators are a
-quadratic Groebner basis (Bergman's diamond lemma), the algebra is PBW, and
-dim A_k for k >= 4 is counted over the allowed letter pairs instead of
-eliminated.  A block that fails keeps eliminating, so no answer rests on
-trust; a counted degree whose normal forms are needed is eliminated on
-demand and must give the count.  The gate reads the same widths, with the
-same message, whichever way a degree was built.
+own edges span by maximum cardinality search, the relators' leading pairs
+are rewriting rules, and the words with no leading word as a factor must
+number exactly dim A_3.  Where they do not, a truncated noncommutative
+Buchberger step (Bergman's diamond lemma, degree by degree) adds the
+degree-3 rules that resolve the overlaps, and the count must then match.
+A certified block counts dim A_k for k >= 4 instead of eliminating it,
+adding at each degree the rules that resolve the overlaps of that length;
+with leading pairs only it is PBW and adds none.  A block whose count
+misses keeps eliminating, so no answer rests on trust; a counted degree
+whose normal forms are needed is eliminated on demand and must give the
+count.  The gate reads the same widths, with the same message, whichever
+way a degree was built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
 from operator import add
@@ -100,18 +105,12 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, row: dict[int, int]) -> bool:
-        """Reduce a row against the basis; add it if independent.
-
-        The row may hold zeros; it is copied without them and left alone.
-        """
-        return self._absorb({k: c for k, c in row.items() if c})
-
     def _absorb(self, work: dict[int, int]) -> bool:
-        """insert for a fresh row with no zeros, reduced in place, no copy.
+        """Reduce a fresh row against the basis in place; add it if independent.
 
-        Both work and the stored rows hold no zeros, so an update that
-        gives zero always names a key already in work.
+        The row is taken over, not copied.  Both work and the stored rows
+        hold no zeros, so an update that gives zero always names a key
+        already in work.
         """
         pivots = self.pivots
         while work:
@@ -268,14 +267,16 @@ class _Cokernels:
     off dims and checked once, as degree k is built.  The relators are
     written as in HolonomyPresentation.
 
-    A state that certify accepts is PBW: follows[a] lists the letters that
-    may come after a in a normal word, ends[b] counts the normal words of
-    the top degree that end in b, and each later degree is counted from
-    them instead of eliminated.  tried records that certify has run.
+    A state that certify accepts counts each later degree instead of
+    eliminating it: rules[d] holds the rewriting rules of degree d, moves
+    the automaton that reads normal words (_automaton) and tally the
+    normal words of the top degree per automaton state.  tried records
+    that certify has run.
     """
 
     __slots__ = (
-        "m", "terms", "dims", "phi", "mu", "top", "tried", "follows", "ends"
+        "m", "terms", "dims", "phi", "mu", "top", "tried", "rules", "moves",
+        "tally",
     )
 
     def __init__(self, m: int, relators):
@@ -294,25 +295,26 @@ class _Cokernels:
         self.mu = [None, [(1, ((a, 1),)) for a in range(self.m)]]
         self.top: _Echelon | None = None
         self.tried = False
-        self.follows: list[list[int]] | None = None
-        self.ends: list[int] | None = None
+        self.rules: list[dict[int, dict[int, int]]] | None = None
+        self.moves: list[list[int]] | None = None
+        self.tally: list[int] | None = None
 
     def extend(self):
         """Build the next degree: counted once certified, else eliminated."""
         k = len(self.dims)
-        if self.follows is None:
+        if self.rules is None:
             ech = self._echelon(k)
             dims = self.dims + [self.m * self.dims[k - 1] - ech.rank]
         else:
-            ends = _successors(self.ends, self.follows)
-            dims = self.dims + [sum(ends)]
+            rules, moves, tally = _grow(self.rules, self.moves, self.tally, self.m, k)
+            dims = self.dims + [sum(tally)]
         # the state changes only once phi_k has passed its check
         self.phi.append(self._checked(k, _lie_rank(dims, self.phi)))
         self.dims = dims
-        if self.follows is None:
+        if self.rules is None:
             self.top = ech
         else:
-            self.ends = ends
+            self.rules, self.moves, self.tally = rules, moves, tally
 
     def _echelon(self, k: int) -> _Echelon:
         """The echelon of degree k's rows, inserted shortest first.
@@ -348,37 +350,54 @@ class _Cokernels:
     def certify(self, pos: list[int]):
         """Count degrees past 3 from normal words, if the letter order allows.
 
-        pos[a] is letter a's place in the order.  Under it, the leading
-        words of R are the pivots of its rows in V ⊗ V, the column of
-        x_a x_b being pos[a] * m + pos[b], with the smallest column leading
-        as in _Echelon.  Words with no adjacent pair among them span every
-        A_k; every ambiguity of the rewriting has degree 3, so by Bergman's
-        diamond lemma they are a basis in every degree once they number
-        dim A_3 (a PBW algebra, Priddy 1970).  If the counts equal dims
-        from degree 3 up they are kept; if not, the state keeps
-        eliminating.  Runs once per state; the state must hold degree 3.
+        pos[a] is letter a's place in the order.  Under it, a word of
+        degree d is the base-m integer of its renamed letters, and the
+        leading word of a combination is its smallest word, as in _Echelon.
+        The relators' echelon rows in V ⊗ V are the rewriting rules of
+        degree 2, their pivots the leading pairs.  Words with no lead as a
+        factor span every A_k, and by Bergman's diamond lemma they are a
+        basis of A_k once every overlap of two leads up to degree k
+        resolves; _automaton and _step count them, never listing them.
+        When they number dim A_k, every overlap of degree k already
+        resolves.  When they do not, the rules, back-reduced, are
+        completed to degree k (_grow: a truncated Buchberger step), and
+        the count must then equal dim A_k.  If the counts equal dims from
+        degree 3 up, the state keeps the rules and counts every later
+        degree; if not, it keeps eliminating.  With 2-letter leads only
+        (rules[3:] all empty) the algebra is PBW (Priddy 1970).  Runs once
+        per state; the state must hold degree 3.
         """
         self.tried = True
         m = self.m
-        leads = self._leading_pairs(pos)
-        # letters renamed by their place in the order
-        follows = [[b for b in range(m) if a * m + b not in leads] for a in range(m)]
-        ends = [1] * m
-        for k in range(2, len(self.dims)):
-            ends = _successors(ends, follows)
-            if k >= 3 and sum(ends) != self.dims[k]:
+        ech = self._leading_pairs(pos)
+        rules = [{}, {}, ech.pivots]
+        moves = _automaton(rules, m)
+        tally = _step(moves, [1] * m)
+        for k in range(3, len(self.dims)):
+            counted = _step(moves, tally)
+            lacking = sum(counted) - self.dims[k]
+            if not lacking:
+                # the normal words are a basis of A_k, so every overlap of
+                # union k already resolves to 0
+                rules, tally = rules + [{}], counted
+                continue
+            # the same rules, back-reduced: with no lead in a tail,
+            # overlaps resolve in fewer steps
+            rules[2] = ech.back_reduced()
+            rules, moves, tally = _grow(rules, moves, tally, m, k, lacking)
+            if sum(tally) != self.dims[k]:
                 return
-        self.follows, self.ends = follows, ends
+        self.rules, self.moves, self.tally = rules, moves, tally
 
-    def _leading_pairs(self, pos: list[int]):
-        """Pivot columns pos[a] * m + pos[b] of the relator rows in V ⊗ V."""
+    def _leading_pairs(self, pos: list[int]) -> _Echelon:
+        """The relator rows in V ⊗ V, column pos[a] * m + pos[b] for x_a x_b."""
         ech = _Echelon()
         m = self.m
         for terms in self.terms:
             # mu[1] is the identity, so _row only collects the terms
             placed = [(pos[a] * m, pos[b], c) for a, b, c in terms]
             ech._absorb(_row(placed, 0, self.mu[1]))
-        return ech.pivots.keys()
+        return ech
 
     def _checked(self, k: int, phi: int) -> int:
         """phi, the Lie rank of degree k, once it lies in 0..W(m, k)."""
@@ -471,12 +490,159 @@ def _flag_order(edges) -> list[int]:
     return pos
 
 
-def _successors(ends, follows) -> list[int]:
-    """Normal words one letter longer, counted by their last letter."""
-    out = [0] * len(ends)
-    for a, n in enumerate(ends):
-        for b in follows[a]:
-            out[b] += n
+def _grow(rules, moves, tally, m: int, k: int, lacking: int | None = None):
+    """(rules, moves, tally) of degree k, from those of degree k - 1.
+
+    While an overlap of two leads can still have k letters, _resolve adds
+    the rules of degree k, told how many are lacking when dim A_k is
+    known.  Only when it adds some is the automaton rebuilt and the count
+    run again from degree 1.
+    """
+    longest = max((d for d, leads in enumerate(rules) if leads), default=0)
+    new = _resolve(rules, m, k, lacking) if k < 2 * longest else {}
+    rules = rules + [new]
+    if not new:
+        return rules, moves, _step(moves, tally)
+    moves = _automaton(rules, m)
+    tally = [1] * m + [0] * (len(moves) - m)
+    for _ in range(k - 1):
+        tally = _step(moves, tally)
+    return rules, moves, tally
+
+
+def _resolve(
+    rules, m: int, k: int, lacking: int | None = None
+) -> dict[int, dict[int, int]]:
+    """The back-reduced rules of degree k that resolve the overlaps of union k.
+
+    rules[d], for d < k, maps each lead word of degree d to its row: a
+    primitive integer combination of degree-d words whose smallest word
+    is the lead, with a positive coefficient, and whose others contain no
+    lead.  Leads u s and s v, s not empty, overlap in u s v; the first
+    rule times v, with u s v cleared by u times the second as _cancel
+    clears it, is reduced to normal form by _reduce.  The nonzero
+    remainders are echeloned and back-reduced, so the new leads and tails
+    contain no lead either.
+
+    lacking, when given, is the number of normal words of degree k less
+    dim A_k.  Each independent remainder removes one normal word, and the
+    normal words always span A_k; so once lacking rules are found they
+    are a basis, every overlap left resolves to 0, and it is skipped.
+    """
+    power = [m**i for i in range(k + 1)]
+    found = _Echelon()
+    reducers: dict[int, dict[int, int] | None] = {}
+    for d1 in range(2, k):
+        for d2 in range(k + 1 - d1, k):
+            if not rules[d1] or not rules[d2]:
+                continue
+            shared = d1 + d2 - k
+            past = power[k - d1]
+            starting: dict[int, list[int]] = {}
+            for w2 in rules[d2]:
+                starting.setdefault(w2 // power[d2 - shared], []).append(w2)
+            for w1, g1 in rules[d1].items():
+                left = w1 // power[shared] * power[d2]
+                for w2 in starting.get(w1 % power[shared], ()):
+                    v = w2 % past
+                    work = {x * past + v: c for x, c in g1.items()}
+                    g2 = {left + x: c for x, c in rules[d2][w2].items()}
+                    _cancel(work, g2, w1 * past + v)
+                    _reduce(work, rules, power, reducers)
+                    if work and found._absorb(work) and found.rank == lacking:
+                        return found.back_reduced()
+    return found.back_reduced()
+
+
+def _reduce(work: dict[int, int], rules, power, reducers):
+    """Rewrite work, a combination of degree-k words, to its normal form.
+
+    In place and fraction-free, as _cancel scales; k = len(power) - 1.
+    Words are rewritten smallest first: rewriting a word only brings in
+    larger ones.  reducers caches each word's rewriting row, or None for a
+    normal word.
+    """
+    heap = list(work)
+    heapify(heap)
+    seen = set(heap)
+    while heap:
+        w = heappop(heap)
+        if w not in work:
+            continue
+        if w in reducers:
+            prow = reducers[w]
+        else:
+            prow = reducers[w] = _reducer(w, rules, power)
+        if prow is None:
+            continue
+        _cancel(work, prow, w)
+        for x in prow:
+            if x not in seen:
+                seen.add(x)
+                heappush(heap, x)
+
+
+def _reducer(w: int, rules, power) -> dict[int, int] | None:
+    """p g q for the first rule g whose lead is a factor of w = p lead q."""
+    k = len(power) - 1
+    for d in range(2, min(len(rules), k + 1)):
+        leads = rules[d]
+        if not leads:
+            continue
+        for j in range(k - d + 1):
+            below = power[j]
+            row = leads.get(w // below % power[d])
+            if row is not None:
+                q = w % below
+                p = w // (below * power[d]) * power[d]
+                return {(p + x) * below + q: c for x, c in row.items()}
+    return None
+
+
+def _automaton(rules, m: int) -> list[list[int]]:
+    """moves[s]: the states one more letter leads to from state s.
+
+    A state is a letter, 0..m-1, or a proper prefix of a lead with at
+    least 2 letters; a normal word is in the state of its longest suffix
+    that is one.  A lead that is a suffix of the word a letter longer is
+    then a suffix of the state's word that letter longer, so that move is
+    left out; the longest state that is a suffix of it is found the same
+    way.  With 2-letter leads only, the states are the letters and the
+    moves the allowed pairs.
+    """
+    power = [m**i for i in range(len(rules))]
+    # grows[s][u]: b -> the state u b, a prefix with s letters
+    grows: list[dict[int, dict[int, int]]] = [{} for _ in rules]
+    states = [(1, a) for a in range(m)]
+    for d in range(3, len(rules)):
+        for w in rules[d]:
+            for size in range(2, d):
+                v = w // power[d - size]
+                nexts = grows[size].setdefault(v // m, {})
+                if v % m not in nexts:
+                    nexts[v % m] = len(states)
+                    states.append((size, v))
+    moves = []
+    for size, v in states:
+        allowed = range(m)
+        nexts = {}
+        for d in range(2, min(size + 2, len(rules))):
+            u = v % power[d - 1]
+            base, leads = u * m, rules[d]
+            allowed = [b for b in allowed if base + b not in leads]
+            # longer suffixes come later and win
+            nexts.update(grows[d].get(u, ()))
+        moves.append([nexts.get(b, b) for b in allowed] if nexts else allowed)
+    return moves
+
+
+def _step(moves, tally) -> list[int]:
+    """Normal words one letter longer, counted by automaton state."""
+    out = [0] * len(moves)
+    for s, n in enumerate(tally):
+        if n:
+            for t in moves[s]:
+                out[t] += n
     return out
 
 

@@ -5,6 +5,7 @@ The Lyndon-basis tests exercise the reference oracle in reference.py.
 
 import copy
 import functools
+import itertools
 import math
 import os
 import random
@@ -36,7 +37,7 @@ from glcs import (
 )
 from glcs import holonomy
 from glcs.holonomy import _Echelon
-from iso import representatives
+from iso import canonical_edges, representatives
 from reference import (
     bracket_expansion,
     is_lyndon,
@@ -148,12 +149,17 @@ def test_lyndon_coordinates_rejects_non_lie():
 # ---------------------------------------------------------------------------
 # echelon
 
+def _insert(ech: _Echelon, row: dict) -> bool:
+    """Reduce a zero-free copy of row against ech; True if it became a pivot."""
+    return ech._absorb({j: c for j, c in row.items() if c})
+
+
 def test_echelon_ranks():
     ech = _Echelon()
-    assert ech.insert({0: 2, 1: 4})
-    assert not ech.insert({0: 1, 1: 2})  # dependent after gcd stripping
-    assert ech.insert({1: 1})
-    assert not ech.insert({0: 3, 1: -5})
+    assert _insert(ech, {0: 2, 1: 4})
+    assert not _insert(ech, {0: 1, 1: 2})  # dependent after gcd stripping
+    assert _insert(ech, {1: 1})
+    assert not _insert(ech, {0: 3, 1: -5})
     assert ech.rank == 2
 
 
@@ -161,9 +167,9 @@ def test_echelon_exactness_no_spurious_rank():
     # rows engineered to cancel exactly only under exact arithmetic
     ech = _Echelon()
     big = 10 ** 30
-    assert ech.insert({0: big, 1: 1})
-    assert ech.insert({0: 1, 1: big})
-    assert not ech.insert({0: big + 1, 1: big + 1})
+    assert _insert(ech, {0: big, 1: 1})
+    assert _insert(ech, {0: 1, 1: big})
+    assert not _insert(ech, {0: big + 1, 1: big + 1})
 
 
 def _fraction_ranks(rows, ncols):
@@ -219,7 +225,7 @@ def test_echelon_rank_matches_fractions(seed):
     previous = 0
     for row, expected in zip(rows, _fraction_ranks(rows, ncols)):
         before = dict(row)
-        assert ech.insert(row) == (expected > previous)
+        assert _insert(ech, row) == (expected > previous)
         assert row == before  # the caller's row is left alone
         assert ech.rank == expected
         previous = expected
@@ -237,7 +243,7 @@ def test_echelon_row_order_does_not_matter(seed):
     rows = _random_rows(rng, ncols, 50)
     ech = _Echelon()
     for row in rows:
-        ech.insert(row)
+        _insert(ech, row)
     reduced = ech.back_reduced()
     shuffler = random.Random(1000 + seed)
     for _ in range(5):
@@ -245,15 +251,10 @@ def test_echelon_row_order_does_not_matter(seed):
         shuffler.shuffle(shuffled)
         other = _Echelon()
         for row in shuffled:
-            other.insert(row)
-        # _absorb takes over zero-free copies and reduces them in place
-        absorbed = _Echelon()
-        for row in shuffled:
-            absorbed._absorb({j: c for j, c in row.items() if c})
-        for built in (other, absorbed):
-            assert built.rank == ech.rank
-            assert built.pivots.keys() == ech.pivots.keys()
-            assert built.back_reduced() == reduced
+            _insert(other, row)
+        assert other.rank == ech.rank
+        assert other.pivots.keys() == ech.pivots.keys()
+        assert other.back_reduced() == reduced
 
 
 def test_echelon_stored_rows_never_change():
@@ -261,10 +262,10 @@ def test_echelon_stored_rows_never_change():
     rows = _random_rows(rng, 14, 60)
     ech = _Echelon()
     for row in rows[:30]:
-        ech.insert(row)
+        _insert(ech, row)
     snapshot = copy.deepcopy(ech.pivots)
     for row in rows[30:45]:
-        ech.insert(row)
+        _insert(ech, row)
     assert {k: ech.pivots[k] for k in snapshot} == snapshot
 
 
@@ -320,13 +321,13 @@ def test_third_triangle_bracket_in_span():
     p = presentation(g)
     ech = _Echelon()
     for rel in p.relators:
-        ech.insert(dict(rel))
+        _insert(ech, dict(rel))
     for u, v, w in g.triangles():
         a, b, c = sorted(
             (g.edge_index(u, v), g.edge_index(u, w), g.edge_index(v, w))
         )
         third = {(a, c): -1, (b, c): -1}
-        assert not ech.insert(third)
+        assert not _insert(ech, third)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,8 @@ def test_phi_bruteforce_degree5_hot_spot():
     # 10 * 1120 for the wheels on a 4- and a 5-cycle, each one block, and
     # 14 * 4053 + 1 for a non-chordal graph whose 14-letter block has a
     # chordal edge graph.  The gate reads the same widths whether degree 4
-    # was counted or eliminated.
+    # was counted or eliminated.  The last field says the largest block is
+    # PBW: certified with 2-letter leads only.
     k5 = complete_graph(5)
     k5_minus_e = graph_from_edges([e for e in k5.edges if e != (3, 4)])
     chordal_block = graph_from_edges(
@@ -535,38 +537,49 @@ def test_phi_bruteforce_degree5_hot_spot():
         (_wheel(5), 11200, False),
         (chordal_block, 56743, True),
     )
-    for g, width, certified in cases:
+    for g, width, pbw in cases:
         holonomy._state.cache_clear()
         want = phi_from_exponents(graphic_exponents(clique_vector(g)), 5)
         assert phi_bruteforce(g, 5) == want
         # the wheels' blocks are not PBW in the letter order read off their
-        # edges, so they fall back to elimination; the largest block is
-        # the one checked
+        # edges: they take the Groebner route, with leads past 2 letters,
+        # and count degrees 4 and 5 too; the largest block is the one checked
         blocks = holonomy._block_states(presentation(g), 1, None, None)
         state = max((s for _, s in blocks), key=lambda s: s.m)
         assert state.tried
-        assert (state.follows is not None) == certified, g.edges
+        assert state.rules is not None, g.edges
+        assert _pbw(state) == pbw, g.edges
         with pytest.raises(FeasibilityError) as exc:
             phi_bruteforce(g, 5, max_dim=width - 1)
         assert exc.value.dimension == width
         assert phi_bruteforce(g, 5, max_dim=width) == want
 
 
-def test_counted_ranks_equal_eliminated_ranks():
-    # phi_bruteforce certifies where it can and counts degree 4; graded_dims
-    # on a cleared cache has no letter order and eliminates every degree.
-    # The order is read off each block's own edges, so certification must
-    # not depend on vertex ids: each class runs as given and relabelled.
+def _pbw(state) -> bool:
+    """Certified with 2-letter leads only: a quadratic Groebner basis."""
+    return state.rules is not None and not any(state.rules[3:])
+
+
+def _labelled_classes():
+    """Each class with at most 6 vertices, as given and relabelled.
+
+    The letter order is read off each block's own edges, so what is
+    certified must not depend on vertex ids.
+    """
     rng = random.Random(22)
     for n in range(1, 7):
         for g in representatives(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            relabelled = graph_from_edges(
-                [(perm[u], perm[v]) for u, v in g.edges], range(n)
-            )
-            for h in (g, relabelled):
-                _check_counted_ranks(h)
+            yield g
+            yield graph_from_edges([(perm[u], perm[v]) for u, v in g.edges], range(n))
+
+
+def test_counted_ranks_equal_eliminated_ranks():
+    # phi_bruteforce certifies where it can and counts degree 4; graded_dims
+    # on a cleared cache has no letter order and eliminates every degree
+    for g in _labelled_classes():
+        _check_counted_ranks(g)
 
 
 def _check_counted_ranks(g):
@@ -575,19 +588,80 @@ def _check_counted_ranks(g):
     counted = phi_bruteforce(g, 4)
     blocks = holonomy._block_states(p, 1, None, None)
     assert all(s.tried for _, s in blocks)
+    # on at most 6 vertices no block falls back to elimination
+    assert all(s.rules is not None for _, s in blocks), g.edges
     if glcs.is_chordal(g)[0]:
         # a chordal graph's blocks are PBW (Koszul, supersolvable)
-        assert all(s.follows is not None for _, s in blocks), g.edges
+        assert all(_pbw(s) for _, s in blocks), g.edges
     for letters, s in blocks:
         # so is each block whose own edge graph is chordal
         own = graph_from_edges([g.edges[a - 1] for a in letters])
         if glcs.is_chordal(own)[0]:
-            assert s.follows is not None, (g.edges, letters)
+            assert _pbw(s), (g.edges, letters)
     holonomy._state.cache_clear()
     eliminated = graded_dims(p, 4).quotient_dims
     states = [s for _, s in holonomy._block_states(p, 1, None, None)]
     assert not any(s.tried for s in states)
     assert counted == eliminated, g.edges
+
+
+def test_groebner_counts_equal_elimination_to_degree5():
+    # a block that is not PBW in its letter order adds the rules that
+    # resolve its overlaps, degree by degree, and counts degrees 4 and 5
+    # from them; elimination, run on the graph that block's edges span from
+    # a cleared cache, once per isomorphism class, must give the same ranks
+    eliminated = {}
+    blocks_checked = 0
+    for g in _labelled_classes():
+        holonomy._state.cache_clear()
+        phi_bruteforce(g, 5)
+        for letters, s in holonomy._block_states(presentation(g), 1, None, None):
+            if _pbw(s):
+                continue
+            assert s.rules is not None, (g.edges, letters)
+            own = graph_from_edges([g.edges[a - 1] for a in letters])
+            at = {v: i for i, v in enumerate(own.vertices)}
+            key = canonical_edges(len(at), [(at[u], at[v]) for u, v in own.edges])
+            if key not in eliminated:
+                holonomy._state.cache_clear()
+                eliminated[key] = graded_dims(presentation(own), 5).quotient_dims
+            assert eliminated[key] == tuple(s.phi[:5]), (g.edges, letters)
+            blocks_checked += 1
+    # 14 blocks in each labelling, of 10 isomorphism classes with 8 to 13
+    # letters
+    assert (blocks_checked, len(eliminated)) == (28, 10)
+
+
+def test_groebner_counts_equal_elimination_on_seeded_presentations():
+    # Lie-type relators with seeded coefficients on 3 or 4 letters, in the
+    # letter order 0..m-1: where they are no quadratic Groebner basis, the
+    # rules are completed degree by degree, with pseudo-division wherever a
+    # coefficient is not 1, and every count to degree 6 must equal
+    # elimination.  No state may fall back: with exact dimensions the
+    # completed rules always count right.
+    completed = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        m = rng.randint(3, 4)
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
+        relators = []
+        for _ in range(rng.randint(1, len(pairs) - 1)):
+            terms = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+            coefficients = [rng.choice([-2, -1, 1, 2, 3]) for _ in terms]
+            relators.append(tuple(sorted(zip(terms, coefficients))))
+        counted = holonomy._Cokernels(m, relators)
+        for _ in range(2):
+            counted.extend()
+        counted.certify(list(range(m)))
+        assert counted.rules is not None, seed
+        completed += any(counted.rules[3:])
+        for _ in range(3):
+            counted.extend()
+        eliminated = holonomy._Cokernels(m, relators)
+        for _ in range(5):
+            eliminated.extend()
+        assert counted.dims == eliminated.dims, seed
+    assert completed == 57
 
 
 def test_phi_bruteforce_single_edge():
@@ -882,7 +956,7 @@ _CERTIFICATE_CASES = {
         "extend = glcs.holonomy._Cokernels.extend\n"
         "def bumped(self):\n"
         "    extend(self)\n"
-        "    if self.follows is not None and len(self.dims) == 5:\n"
+        "    if self.rules is not None and len(self.dims) == 5:\n"
         "        self.dims[4] += 1\n"
         "glcs.holonomy._Cokernels.extend = bumped",
         "glcs.verify_kernel_generation(glcs.complete_graph(4), "
@@ -924,23 +998,25 @@ def test_certificate_raises_under_optimize(case):
 
 def test_wrong_leading_pairs_fall_back_under_optimize():
     # one leading pair dropped from the block's one letter order, picked by
-    # a seeded choice, lets more words through than A_3 has: each block
-    # with a pair to drop must fail its certificate and eliminate, and the
-    # ranks stay right
+    # a seeded choice, lets more words through than A_3 has, even once the
+    # overlaps of the rules left are resolved: each block with a pair to
+    # drop must fail its certificate and eliminate, and the ranks stay right
     proc = _run_optimized(
         "import random, glcs\n"
         "from glcs import holonomy\n"
         "rng = random.Random(21)\n"
         "leading = holonomy._Cokernels._leading_pairs\n"
         "def dropped(self, pos):\n"
-        "    leads = set(leading(self, pos))\n"
-        "    return leads - {rng.choice(sorted(leads))} if leads else leads\n"
+        "    ech = leading(self, pos)\n"
+        "    if ech.pivots:\n"
+        "        del ech.pivots[rng.choice(sorted(ech.pivots))]\n"
+        "    return ech\n"
         "holonomy._Cokernels._leading_pairs = dropped\n"
         "g = glcs.graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), "
         "(2, 3), (3, 4), (3, 5), (4, 5), (0, 6)])\n"
         "print(glcs.phi_bruteforce(g, 5))\n"
         "blocks = holonomy._block_states(glcs.presentation(g), 1, None, None)\n"
-        "print([(s.m, s.tried, s.follows is None) for _, s in blocks])\n"
+        "print([(s.m, s.tried, s.rules is None) for _, s in blocks])\n"
     )
     assert proc.returncode == 0, proc.stderr
     e = graphic_exponents(clique_vector(_k4_triangle_pendant()))
@@ -950,3 +1026,29 @@ def test_wrong_leading_pairs_fall_back_under_optimize():
         # the pendant letter has no leading pair, so nothing to drop
         "[(6, True, True), (1, True, False), (3, True, True)]",
     ]
+
+
+def test_dropped_degree3_rule_falls_back_under_optimize():
+    # the wheel on a 5-cycle is one block that is not PBW in its letter
+    # order; with one of the rules that resolve its degree-3 overlaps
+    # dropped, more words pass than A_3 has, so the block must fail its
+    # degree-3 comparison and eliminate, and the ranks stay right
+    proc = _run_optimized(
+        "import glcs\n"
+        "from glcs import holonomy\n"
+        "resolve = holonomy._resolve\n"
+        "def dropped(rules, m, k, lacking=None):\n"
+        "    new = resolve(rules, m, k, lacking)\n"
+        "    if k == 3 and new:\n"
+        "        del new[min(new)]\n"
+        "    return new\n"
+        "holonomy._resolve = dropped\n"
+        "g = glcs.graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), "
+        "(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)])\n"
+        "print(glcs.phi_bruteforce(g, 5))\n"
+        "blocks = holonomy._block_states(glcs.presentation(g), 1, None, None)\n"
+        "print([(s.m, s.tried, s.rules is None) for _, s in blocks])\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = phi_from_exponents(graphic_exponents(clique_vector(_wheel(5))), 5)
+    assert proc.stdout.splitlines() == [str(want), "[(10, True, True)]"]
